@@ -14,13 +14,17 @@ PRs and CI can upload the artefacts.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import json
 import os
 import platform
 import subprocess
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Sequence
 
+import numpy as np
 import pytest
 
 #: Repository root — BENCH_<name>.json files land here.
@@ -94,3 +98,77 @@ def write_bench_json(name: str, payload: dict) -> Path:
 def bench_json():
     """Session fixture handing benchmarks the :func:`write_bench_json` writer."""
     return write_bench_json
+
+
+def timing_stats(seconds: Sequence[float]) -> dict:
+    """Median, interquartile range and minimum of repeated timings, plus the samples.
+
+    Gates compare medians, so one slow sample (a neighbour's burst, a GC
+    pause) cannot fail a benchmark on its own.
+    """
+    samples = np.asarray(seconds, dtype=float)
+    q1, median, q3 = np.percentile(samples, [25, 50, 75])
+    return {
+        "samples": [float(s) for s in samples],
+        "median": float(median),
+        "iqr": float(q3 - q1),
+        "min": float(samples.min()),
+    }
+
+
+@pytest.fixture(scope="session")
+def bench_timing():
+    """Session fixture handing benchmarks the :func:`timing_stats` summariser."""
+    return timing_stats
+
+
+def _openblas_thread_controls() -> list:
+    """``(get_num_threads, set_num_threads)`` of every OpenBLAS loaded in this process.
+
+    numpy and scipy each bundle their own OpenBLAS (symbol prefix
+    ``scipy_openblas``, suffix ``64_`` for the ILP64 build).  Found through
+    ``/proc/self/maps``, so this is Linux-only and empty elsewhere.
+    """
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = sorted({line.split()[-1] for line in maps if "openblas" in line.lower()})
+    except OSError:
+        return []
+    controls = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix in ("scipy_openblas", "openblas"):
+            for suffix in ("", "64_"):
+                get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+                set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+                if get is not None and set_ is not None:
+                    controls.append((get, set_))
+    return controls
+
+
+@contextlib.contextmanager
+def single_blas_thread():
+    """Run the block with every loaded OpenBLAS pinned to one thread.
+
+    Threaded BLAS makes a timing depend on whether the machine's other cores
+    are free at that moment; pinned, both arms of a comparison run on one
+    core.  The previous thread counts are restored afterwards.
+    """
+    controls = _openblas_thread_controls()
+    previous = [get() for get, _ in controls]
+    for _, set_ in controls:
+        set_(1)
+    try:
+        yield len(controls)
+    finally:
+        for (_, set_), count in zip(controls, previous):
+            set_(count)
+
+
+@pytest.fixture(scope="session")
+def blas_single_thread():
+    """Session fixture handing benchmarks the :func:`single_blas_thread` context manager."""
+    return single_blas_thread

@@ -51,6 +51,7 @@ from repro.core.config import QTDAConfig
 from repro.core.padding import pad_laplacian, zero_pad_laplacian, PaddedLaplacian
 from repro.core.hamiltonian import (
     build_hamiltonian,
+    kernel_dimension,
     qtda_unitary,
     padded_spectrum,
     PaddedSpectrum,
@@ -96,6 +97,7 @@ __all__ = [
     "padded_spectrum",
     "PaddedSpectrum",
     "SpectrumCache",
+    "kernel_dimension",
     "BatchConfig",
     "BatchFeatureEngine",
     "pad_laplacian",

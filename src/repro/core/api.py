@@ -53,7 +53,7 @@ from repro.core.estimator import QTDABettiEstimator
 from repro.core.hamiltonian import SpectrumCache
 from repro.core.pipeline import PipelineConfig
 from repro.tda.complexes import SimplicialComplex
-from repro.tda.rips import RipsComplex
+from repro.tda.rips import FlagComplexArrays, RipsComplex
 from repro.tda.takens import TakensEmbedding
 from repro.utils.validation import check_integer
 
@@ -278,13 +278,21 @@ class EstimationRequest(_RequestBase):
     def seed(self) -> Optional[int]:
         return self.config.seed if isinstance(self.config.seed, (int, np.integer)) else None
 
-    def build_complex(self) -> SimplicialComplex:
-        """Materialise the simplicial complex this request describes."""
+    def build_complex(self) -> "SimplicialComplex | FlagComplexArrays":
+        """Materialise the complex this request describes.
+
+        Point clouds with ``max_dimension <= 2`` (every ``k <= 1`` request
+        by default) build the Rips complex as
+        :class:`~repro.tda.rips.FlagComplexArrays`; higher skeletons and
+        explicit ``simplices`` build an object-level
+        :class:`SimplicialComplex`.  Both give the estimator the same
+        Laplacian entry for entry.
+        """
         if self.simplices is not None:
             return SimplicialComplex(self.simplices)
         return RipsComplex.from_points(
             np.asarray(self.points, dtype=float), self.epsilon, max_dimension=self.max_dimension
-        ).complex()
+        ).fast_complex()
 
     def geometry_fingerprint(self) -> str:
         """Stable hash of the *geometry only* (complex/cloud, not the config).

@@ -41,14 +41,11 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.estimator import QTDABettiEstimator
-from repro.core.hamiltonian import SpectrumCache, laplacian_spectrum_info
+from repro.core.hamiltonian import SpectrumCache, kernel_dimension
 from repro.core.pipeline import PipelineConfig, apply_pipeline_overrides
-from repro.tda.betti import betti_number
+from repro.tda.complexes import SimplicialComplex
 from repro.tda.distances import pairwise_distances
-from repro.tda.laplacian import (
-    combinatorial_laplacian_operator,
-    laplacian_operator_from_flag_arrays,
-)
+from repro.tda.laplacian import combinatorial_laplacian_operator
 from repro.tda.incremental import IncrementalFlagComplex, SlidingDistanceMatrix
 from repro.tda.rips import FlagComplexArrays, RipsComplex, flag_complex_arrays
 from repro.tda.takens import TakensEmbedding
@@ -130,12 +127,6 @@ class _SampleTask:
     seed: Optional[int]
 
 
-def _small_eigenvalues(laplacian: np.ndarray, cache: Optional[SpectrumCache]) -> np.ndarray:
-    if cache is not None:
-        return cache.spectrum(laplacian)[0]
-    return laplacian_spectrum_info(laplacian)[0]
-
-
 def _negotiate_laplacian_format(config: PipelineConfig, operator_format: Optional[str]) -> str:
     """Negotiated operator format for estimator handoffs (DESIGN.md §9).
 
@@ -153,8 +144,8 @@ def _negotiate_laplacian_format(config: PipelineConfig, operator_format: Optiona
     return preferred_format(get_backend(config.estimator.backend))
 
 
-def _flag_features(
-    arrays: FlagComplexArrays,
+def _complex_features(
+    complex_: "FlagComplexArrays | SimplicialComplex",
     config: PipelineConfig,
     cache: Optional[SpectrumCache],
     estimator: Optional[QTDABettiEstimator],
@@ -162,11 +153,15 @@ def _flag_features(
     sparse_handoff: bool,
     operators: Optional[Dict[int, object]] = None,
 ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """Feature rows from prepared flag-complex arrays (the fast-path inner loop).
+    """Feature rows from a prepared complex (the per-dimension inner loop).
 
-    Shared by the per-sample sweep (:class:`_SampleSweeper`) and the
-    incremental window engine (:class:`StreamingFeatureEngine`), so both
-    routes run literally the same per-dimension code and stay bit-identical.
+    ``complex_`` is the flag-array complex of the fast path or the
+    object-level complex of the generic route (``max_complex_dimension >
+    2``).  Shared by the per-sample sweep (:class:`_SampleSweeper`) and the
+    incremental window engine (:class:`StreamingFeatureEngine`), so every
+    route runs literally the same per-dimension code and stays bit-identical.
+    Exact values are the ``Δ_k`` kernel counts at ``zero_eigenvalue_atol``
+    of the cached spectrum (:func:`kernel_dimension`).
 
     ``operators`` is the streaming engine's reuse hook: a mutable mapping
     ``k -> LaplacianOperator`` whose existing entries are handed to the
@@ -180,20 +175,19 @@ def _flag_features(
     estimated = np.empty(len(dims))
     exact = np.empty(len(dims)) if compute_exact else None
     for f_idx, k in enumerate(dims):
-        if arrays.num_simplices(k) == 0:
+        if complex_.num_simplices(k) == 0:
             estimated[f_idx] = 0.0
             if exact is not None:
                 exact[f_idx] = 0.0
             continue
         laplacian = operators.get(k) if operators is not None else None
         if laplacian is None:
-            laplacian = laplacian_operator_from_flag_arrays(arrays, k, sparse_format=sparse_handoff)
+            laplacian = combinatorial_laplacian_operator(complex_, k, sparse_format=sparse_handoff)
             if operators is not None:
                 operators[k] = laplacian
         exact_value: Optional[float] = None
         if exact is not None:
-            eigenvalues = _small_eigenvalues(laplacian, cache)
-            exact_value = float(np.count_nonzero(np.abs(eigenvalues) <= atol))
+            exact_value = float(kernel_dimension(laplacian, cache, atol))
             exact[f_idx] = exact_value
         if estimator is not None:
             estimate = estimator.estimate_from_laplacian(laplacian)
@@ -241,42 +235,23 @@ class _SampleSweeper:
         """Feature rows ``(estimated (F,), exact (F,) or None)`` at one ε."""
         config = self.config
         if self.fast:
-            arrays = flag_complex_arrays(self.task.distances, epsilon, config.max_complex_dimension)
-            return _flag_features(
-                arrays, config, self.cache, self.estimator, self.compute_exact, self.sparse_handoff
-            )
-        # Generic clique route for dimensions above 2; successive ε share
-        # the distance matrix via with_epsilon.
-        self._rips = (
-            RipsComplex.from_distance_matrix(
+            complex_ = flag_complex_arrays(
                 self.task.distances, epsilon, config.max_complex_dimension
             )
-            if self._rips is None
-            else self._rips.with_epsilon(epsilon)
-        )
-        complex_ = self._rips.complex()
-        dims = config.homology_dimensions
-        estimated = np.empty(len(dims))
-        exact = np.empty(len(dims)) if self.compute_exact else None
-        for f_idx, k in enumerate(dims):
-            if complex_.num_simplices(k) == 0:
-                estimated[f_idx] = 0.0
-                if exact is not None:
-                    exact[f_idx] = 0.0
-                continue
-            laplacian = combinatorial_laplacian_operator(
-                complex_, k, sparse_format=self.sparse_handoff
+        else:
+            # Generic clique route for dimensions above 2; successive ε share
+            # the distance matrix via with_epsilon.
+            self._rips = (
+                RipsComplex.from_distance_matrix(
+                    self.task.distances, epsilon, config.max_complex_dimension
+                )
+                if self._rips is None
+                else self._rips.with_epsilon(epsilon)
             )
-            exact_value: Optional[float] = None
-            if exact is not None:
-                exact_value = float(betti_number(complex_, k))
-                exact[f_idx] = exact_value
-            if self.estimator is not None:
-                estimate = self.estimator.estimate_from_laplacian(laplacian)
-                estimated[f_idx] = float(estimate.betti_estimate)
-            else:
-                estimated[f_idx] = exact_value if exact_value is not None else 0.0
-        return estimated, exact
+            complex_ = self._rips.complex()
+        return _complex_features(
+            complex_, config, self.cache, self.estimator, self.compute_exact, self.sparse_handoff
+        )
 
 
 def _sample_features(
@@ -900,7 +875,7 @@ class StreamingFeatureEngine:
                 features[e_idx] = state.row
                 self.stats["feature_rows_reused"] += 1
                 continue
-            row, _ = _flag_features(
+            row, _ = _complex_features(
                 state.complex.arrays,
                 self.config,
                 self._cache,

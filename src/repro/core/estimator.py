@@ -16,17 +16,23 @@ sampling otherwise, so finite-shot behaviour is identical across backends.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.core.backends import EstimationProblem, get_backend, preferred_format
 from repro.core.config import QTDAConfig
-from repro.core.hamiltonian import SpectrumCache
+from repro.core.hamiltonian import SpectrumCache, kernel_dimension
+from repro.core.operators import as_operator
 from repro.quantum.measurement import sample_counts
 from repro.tda.complexes import SimplicialComplex
 from repro.tda.laplacian import combinatorial_laplacian
+from repro.tda.rips import FlagComplexArrays
 from repro.utils.rng import as_rng
+from repro.utils.validation import check_integer
+
+#: The two complex representations :meth:`QTDABettiEstimator.estimate` accepts.
+ComplexLike = Union[SimplicialComplex, FlagComplexArrays]
 
 
 @dataclass
@@ -47,9 +53,10 @@ class BettiEstimate:
     precision_qubits, shots, backend:
         Echo of the configuration used.
     exact_betti:
-        Classically computed ``β_k`` (only populated when the estimator was
-        given a simplicial complex or asked to compute it); used for error
-        reporting à la Eq. 12.
+        Classical ``β_k = dim ker Δ_k`` (Eq. 6): the count of eigenvalues
+        within ``zero_eigenvalue_atol`` of zero in the small-Laplacian
+        spectrum (only populated when the estimator was given a complex and
+        asked to compute it); used for error reporting à la Eq. 12.
     counts:
         Raw measurement counts of the precision register (empty for
         infinite-shot runs).
@@ -186,21 +193,25 @@ class QTDABettiEstimator:
         """
         return preferred_format(self.backend)
 
-    def estimate(self, complex_: SimplicialComplex, k: int, compute_exact: bool = True) -> BettiEstimate:
+    def estimate(self, complex_: ComplexLike, k: int, compute_exact: bool = True) -> BettiEstimate:
         """Estimate ``β_k`` of a simplicial complex.
 
-        ``compute_exact=True`` also computes the classical Betti number for
-        error reporting (cheap at the scales of the paper).
+        ``complex_`` is either an object-level :class:`SimplicialComplex` or
+        the :class:`~repro.tda.rips.FlagComplexArrays` of a Rips complex up to
+        dimension 2; both build the same Laplacian entry for entry.
+        ``compute_exact=True`` also reports the classical ``β_k`` as the
+        kernel count of that Laplacian's spectrum at
+        ``config.zero_eigenvalue_atol`` (Eq. 6).  The spectrum goes through
+        the attached :class:`SpectrumCache`, so on the spectral backends it
+        is diagonalised once for both the estimate and the ground truth.
         """
-        if not isinstance(complex_, SimplicialComplex):
-            raise TypeError("estimate expects a SimplicialComplex; use estimate_from_laplacian for raw matrices")
-        num_k = complex_.num_simplices(k)
-        exact: Optional[int] = None
-        if compute_exact:
-            from repro.tda.betti import betti_number
-
-            exact = betti_number(complex_, k)
-        if num_k == 0:
+        if not isinstance(complex_, (SimplicialComplex, FlagComplexArrays)):
+            raise TypeError(
+                "estimate expects a SimplicialComplex or FlagComplexArrays; "
+                "use estimate_from_laplacian for raw matrices"
+            )
+        k = check_integer(k, "k", minimum=0)
+        if complex_.num_simplices(k) == 0:
             # No k-simplices: β_k = 0 by convention, nothing to run.
             return BettiEstimate(
                 betti_estimate=0.0,
@@ -210,14 +221,32 @@ class QTDABettiEstimator:
                 precision_qubits=self.config.precision_qubits,
                 shots=self.config.shots,
                 backend=self.config.backend,
-                exact_betti=exact,
+                exact_betti=0 if compute_exact else None,
                 lambda_max=0.0,
                 delta=self.config.delta,
             )
-        laplacian = combinatorial_laplacian(
-            complex_, k, sparse_format=self.operator_format == "sparse"
-        )
+        laplacian = self._laplacian(complex_, k)
+        exact: Optional[int] = None
+        if compute_exact:
+            exact = kernel_dimension(
+                laplacian, self.spectrum_cache, self.config.zero_eigenvalue_atol
+            )
         return self.estimate_from_laplacian(laplacian, exact_betti=exact)
+
+    def exact_betti(self, complex_: ComplexLike, k: int) -> int:
+        """Classical ``β_k`` alone: the kernel count :meth:`estimate` reports as ``exact_betti``."""
+        k = check_integer(k, "k", minimum=0)
+        if complex_.num_simplices(k) == 0:
+            return 0
+        return kernel_dimension(
+            self._laplacian(complex_, k), self.spectrum_cache, self.config.zero_eigenvalue_atol
+        )
+
+    def _laplacian(self, complex_: ComplexLike, k: int):
+        """``Δ_k`` in the backend's negotiated format."""
+        return as_operator(
+            combinatorial_laplacian(complex_, k, sparse_format=self.operator_format == "sparse")
+        )
 
     def estimate_from_laplacian(self, laplacian: np.ndarray, exact_betti: Optional[int] = None) -> BettiEstimate:
         """Estimate the kernel dimension of an explicit combinatorial Laplacian.
@@ -264,7 +293,7 @@ class QTDABettiEstimator:
         )
 
     def estimate_betti_numbers(
-        self, complex_: SimplicialComplex, dimensions: Sequence[int], compute_exact: bool = True
+        self, complex_: ComplexLike, dimensions: Sequence[int], compute_exact: bool = True
     ) -> List[BettiEstimate]:
         """Estimate several Betti numbers of the same complex (e.g. ``[0, 1]``)."""
         return [self.estimate(complex_, k, compute_exact=compute_exact) for k in dimensions]

@@ -211,6 +211,21 @@ class SpectrumCache:
         return value
 
 
+def kernel_dimension(laplacian, cache: Optional[SpectrumCache] = None, atol: float = 1e-8) -> int:
+    """``dim ker Δ_k`` (Eq. 6) — the classical ``β_k`` — from the small-Laplacian spectrum.
+
+    Counts the eigenvalues within ``atol`` of zero in the spectrum ``cache``
+    holds (diagonalising and storing it on a miss), so once a spectral
+    backend has diagonalised the Laplacian the ground truth costs a lookup.
+    An empty (0x0) Laplacian has kernel dimension 0.
+    """
+    operator = as_operator(laplacian)
+    if operator.dim == 0:
+        return 0
+    spectrum = cache.spectrum(operator) if cache is not None else laplacian_spectrum_info(operator)
+    return int(np.count_nonzero(np.abs(spectrum[0]) <= atol))
+
+
 @dataclass(frozen=True)
 class PaddedSpectrum:
     """Spectral view of the padded, rescaled Hamiltonian — no ``2^q`` matrix built.
@@ -256,10 +271,6 @@ class PaddedSpectrum:
         eigenvalues = np.where(np.abs(eigenvalues) <= atol, 0.0, eigenvalues)
         eigenvalues = np.clip(eigenvalues, 0.0, None)
         return (eigenvalues / (2.0 * np.pi)) % 1.0
-
-    def zero_eigenvalue_count(self, atol: float = 1e-8) -> int:
-        """Kernel dimension of the *unpadded* Laplacian — the exact ``β_k``."""
-        return int(np.count_nonzero(np.abs(self.eigenvalues) <= atol))
 
 
 def padded_spectrum(

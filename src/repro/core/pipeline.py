@@ -26,7 +26,6 @@ import numpy as np
 
 from repro.core.config import QTDAConfig
 from repro.core.estimator import BettiEstimate, QTDABettiEstimator
-from repro.tda.betti import betti_number
 from repro.tda.rips import RipsComplex
 from repro.tda.takens import TakensEmbedding
 
@@ -145,14 +144,14 @@ class QTDAPipeline:
         eps = self.config.epsilon if epsilon is None else float(epsilon)
         complex_ = RipsComplex.from_points(
             np.asarray(points, dtype=float), eps, max_dimension=self.config.max_complex_dimension
-        ).complex()
+        ).fast_complex()
         values: List[float] = []
         for k in self.config.homology_dimensions:
             if self.config.use_quantum:
                 estimate = self._estimator.estimate(complex_, k, compute_exact=False)
                 values.append(float(estimate.betti_estimate))
             else:
-                values.append(float(betti_number(complex_, k)))
+                values.append(float(self._estimator.exact_betti(complex_, k)))
         return np.asarray(values, dtype=float)
 
     def estimates_from_point_cloud(self, points: np.ndarray, epsilon: Optional[float] = None) -> List[BettiEstimate]:
@@ -160,7 +159,7 @@ class QTDAPipeline:
         eps = self.config.epsilon if epsilon is None else float(epsilon)
         complex_ = RipsComplex.from_points(
             np.asarray(points, dtype=float), eps, max_dimension=self.config.max_complex_dimension
-        ).complex()
+        ).fast_complex()
         return self._estimator.estimate_betti_numbers(complex_, self.config.homology_dimensions)
 
     def features_from_time_series(self, series: np.ndarray, epsilon: Optional[float] = None) -> np.ndarray:

@@ -30,6 +30,7 @@ from repro.serve.loadgen import (
 from repro.serve.metrics import Counter, Gauge, LatencyHistogram, MetricsRegistry
 from repro.serve.quotas import AdmissionController, AdmissionRejected, TokenBucket
 from repro.serve.server import (
+    MAX_BODY_BYTES,
     SERVED_KINDS,
     QTDAServer,
     ServeConfig,
@@ -38,6 +39,7 @@ from repro.serve.server import (
 )
 
 __all__ = [
+    "MAX_BODY_BYTES",
     "SERVED_KINDS",
     "AdmissionController",
     "AdmissionRejected",

@@ -18,7 +18,10 @@ The request path composes the serving primitives in a fixed order —
 **adapter → admission control → coalescer → service** — so every rejection
 is cheap and every executed request is metered:
 
-1. parse + schema-version negotiation (the body must speak
+1. body framing + parse + schema-version negotiation (a malformed
+   ``Content-Length`` gets a structured 400 and one above
+   :data:`MAX_BODY_BYTES` a 413, both unread and with ``Connection:
+   close``; the body must speak
    :data:`~repro.core.api.SCHEMA_VERSION`; mismatches get a structured 400
    naming the supported versions);
 2. admission (:mod:`repro.serve.quotas`): per-caller token buckets and the
@@ -62,6 +65,7 @@ from repro.serve.metrics import MetricsRegistry
 from repro.serve.quotas import AdmissionController, AdmissionRejected
 
 __all__ = [
+    "MAX_BODY_BYTES",
     "SERVED_KINDS",
     "ServeConfig",
     "QTDAServer",
@@ -73,6 +77,10 @@ logger = logging.getLogger("repro.serve")
 
 #: Request kinds the HTTP adapter exposes (``experiment`` is CLI-only).
 SERVED_KINDS = ("estimate", "pipeline", "sweep", "observe")
+
+#: Largest POST body the adapter reads, in bytes.  A larger
+#: ``Content-Length`` is answered with 413 before any of the body is read.
+MAX_BODY_BYTES = 16 * 1024 * 1024
 
 
 @dataclass
@@ -152,10 +160,49 @@ class _RequestHandler(BaseHTTPRequestHandler):
                 404, error_envelope(404, "not_found", f"unknown path {self.path!r}")
             )
 
+    def _body_length(self) -> Optional[int]:
+        """The declared body length, or ``None`` once an error was sent.
+
+        A malformed or over-cap ``Content-Length`` leaves the body unread,
+        and an unread body would be parsed as the next request line, so
+        both errors also close the connection.
+        """
+        declared = self.headers.get("Content-Length")
+        try:
+            length = int(declared) if declared is not None else 0
+        except ValueError:
+            length = -1
+        if length < 0:
+            self._send_json(
+                400,
+                error_envelope(
+                    400,
+                    "invalid_content_length",
+                    f"Content-Length {declared!r} is not a non-negative integer",
+                ),
+                {"Connection": "close"},
+            )
+            return None
+        if length > MAX_BODY_BYTES:
+            self._send_json(
+                413,
+                error_envelope(
+                    413,
+                    "body_too_large",
+                    f"request body of {length} bytes exceeds the {MAX_BODY_BYTES}-byte limit",
+                    max_body_bytes=MAX_BODY_BYTES,
+                ),
+                {"Connection": "close"},
+            )
+            return None
+        return length
+
     def do_POST(self) -> None:  # noqa: N802 - http.server API
         # Drain the body before routing: on a keep-alive connection an
         # unread body would be parsed as the next request line.
-        length = int(self.headers.get("Content-Length") or 0)
+        length = self._body_length()
+        if length is None:
+            return
         raw = self.rfile.read(length) if length else b""
         kind = None
         if self.path.startswith("/v1/"):

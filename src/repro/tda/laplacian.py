@@ -16,15 +16,23 @@ from scipy import sparse
 
 from repro.tda.boundary import boundary_matrix
 from repro.tda.complexes import SimplicialComplex
+from repro.tda.rips import FlagComplexArrays
 from repro.utils.validation import check_integer
 
 
-def combinatorial_laplacian(complex_: SimplicialComplex, k: int, sparse_format: bool = False) -> np.ndarray | sparse.csr_matrix:
+def combinatorial_laplacian(
+    complex_: SimplicialComplex | FlagComplexArrays, k: int, sparse_format: bool = False
+) -> np.ndarray | sparse.csr_matrix:
     """The combinatorial Laplacian ``Δ_k`` of ``complex_``.
 
     Returns a ``|S_k| x |S_k|`` matrix; when the complex has no
     ``k``-simplices the result is a ``0 x 0`` matrix (and ``β_k = 0``).
+    :class:`~repro.tda.rips.FlagComplexArrays` go through
+    :func:`laplacian_from_flag_arrays`, which builds the same matrix without
+    per-simplex objects.
     """
+    if isinstance(complex_, FlagComplexArrays):
+        return laplacian_from_flag_arrays(complex_, k, sparse_format=sparse_format)
     k = check_integer(k, "k", minimum=0)
     num_k = complex_.num_simplices(k)
     if num_k == 0:
@@ -105,7 +113,9 @@ def _flag_d2(triangles: np.ndarray, edges: np.ndarray, num_points: int) -> spars
     return sparse.csr_matrix((data, (rows, cols)), shape=(len(edges), t))
 
 
-def combinatorial_laplacian_operator(complex_: SimplicialComplex, k: int, sparse_format: bool = True):
+def combinatorial_laplacian_operator(
+    complex_: SimplicialComplex | FlagComplexArrays, k: int, sparse_format: bool = True
+):
     """``Δ_k`` wrapped as a :class:`repro.core.operators.LaplacianOperator`.
 
     The operator-returning variant of :func:`combinatorial_laplacian` for

@@ -102,6 +102,14 @@ class RipsComplex:
         """Vectorised array view of the complex (see :class:`FlagComplexArrays`)."""
         return flag_complex_arrays(self.distance_matrix, self.epsilon, self.max_dimension)
 
+    def fast_complex(self) -> "FlagComplexArrays | SimplicialComplex":
+        """:meth:`flag_arrays` when ``max_dimension <= 2``, else :meth:`complex`.
+
+        Both representations yield the same Laplacians entry for entry; this
+        picks the vectorised one whenever it can hold the skeleton.
+        """
+        return self.flag_arrays() if self.max_dimension <= 2 else self.complex()
+
     def __repr__(self) -> str:
         return (
             f"RipsComplex(num_points={self.num_points}, epsilon={self.epsilon:.4g}, "

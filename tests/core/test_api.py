@@ -26,11 +26,14 @@ from repro.api import (
 )
 from repro.core.batch import BatchConfig, BatchFeatureEngine
 from repro.core.config import QTDAConfig
-from repro.core.estimator import QTDABettiEstimator
+from repro.core.estimator import BettiEstimate, QTDABettiEstimator
 from repro.core.pipeline import PipelineConfig, QTDAPipeline
 from repro.datasets.point_clouds import circle_cloud
 from repro.experiments.worked_example import APPENDIX_SIMPLICES
+from repro.tda.betti import betti_number
 from repro.tda.complexes import SimplicialComplex
+from repro.tda.laplacian import combinatorial_laplacian
+from repro.tda.rips import FlagComplexArrays, RipsComplex
 
 TRIANGLE = ((0,), (1,), (2,), (0, 1), (0, 2), (1, 2))
 
@@ -297,6 +300,109 @@ class TestLegacyEquivalence:
         assert result.payload["validation_accuracy"] == legacy.validation_accuracy
         assert result.payload["epsilon"] == legacy.epsilon
         assert "report" in result.payload
+
+
+# -- the object-level request path, kept as a test oracle -------------------------
+
+
+def object_level_oracle(request, spectrum_cache=None):
+    """Payload of ``request`` on the object-level route the service used to take.
+
+    The named test oracle for the request path: an object-level
+    :class:`SimplicialComplex` (Python simplices, networkx cliques) from
+    ``RipsComplex.complex()``, ``combinatorial_laplacian`` and a ground-truth
+    ``exact_betti`` by rank-nullity on the boundary matrices
+    (``betti_number``).  The service now builds point clouds as flag arrays
+    and counts the kernel of the cached spectrum; its payloads must equal
+    these exactly, shot counts included.
+    """
+    if request.simplices is not None:
+        complex_ = SimplicialComplex(request.simplices)
+    else:
+        complex_ = RipsComplex.from_points(
+            np.asarray(request.points, dtype=float), request.epsilon, request.max_dimension
+        ).complex()
+    estimator = QTDABettiEstimator(request.config, spectrum_cache=spectrum_cache)
+    k = request.k
+    exact = betti_number(complex_, k) if request.compute_exact else None
+    if complex_.num_simplices(k) == 0:
+        config = request.config
+        return BettiEstimate(
+            betti_estimate=0.0,
+            betti_rounded=0,
+            p_zero=0.0,
+            num_system_qubits=0,
+            precision_qubits=config.precision_qubits,
+            shots=config.shots,
+            backend=config.backend,
+            exact_betti=exact,
+            lambda_max=0.0,
+            delta=config.delta,
+        ).as_dict()
+    laplacian = combinatorial_laplacian(
+        complex_, k, sparse_format=estimator.operator_format == "sparse"
+    )
+    return estimator.estimate_from_laplacian(laplacian, exact_betti=exact).as_dict()
+
+
+#: Backend configurations the request path must agree on with the oracle:
+#: every spectral backend plus both statevector circuit routes.
+ORACLE_CONFIGS = {
+    "exact": dict(backend="exact"),
+    "sparse-exact": dict(backend="sparse-exact"),
+    "stochastic-trace": dict(backend="stochastic-trace"),
+    "statevector-ensemble": dict(backend="statevector", circuit_engine="ensemble"),
+    "statevector-ptm": dict(
+        backend="statevector", noise_channel="depolarizing", noise_strength=0.01
+    ),
+}
+
+#: Geometries: a noisy circle, ε = 0 (no edges), an all-duplicate cloud
+#: (every point at distance 0) and an explicit complex.
+ORACLE_GEOMETRIES = {
+    "noisy-circle": dict(points=circle_cloud(8, noise=0.05, seed=3), epsilon=1.5),
+    "epsilon-zero": dict(points=circle_cloud(6, noise=0.05, seed=4), epsilon=0.0),
+    "all-duplicates": dict(points=np.ones((5, 2)), epsilon=0.5),
+    "simplices": dict(simplices=APPENDIX_SIMPLICES),
+}
+
+
+class TestObjectLevelOracle:
+    @pytest.mark.parametrize("geometry", sorted(ORACLE_GEOMETRIES))
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    @pytest.mark.parametrize("backend", sorted(ORACLE_CONFIGS))
+    def test_service_payload_equals_oracle(self, backend, k, geometry):
+        config = QTDAConfig(
+            precision_qubits=3, shots=256, delta=6.0, seed=11, **ORACLE_CONFIGS[backend]
+        )
+        request = EstimationRequest(k=k, config=config, **ORACLE_GEOMETRIES[geometry])
+        with QTDAService(result_cache_size=0) as service:
+            result = service.run(request)
+            again = service.run(request)  # spectrum cache warm
+        expected = object_level_oracle(request)
+        assert result.payload == expected
+        assert again.payload == expected
+        if backend == "statevector-ptm" and expected["num_system_qubits"]:
+            assert result.payload["engine_route"] == "ptm"
+
+    def test_compute_exact_false_reports_no_ground_truth(self):
+        request = EstimationRequest(
+            k=1, compute_exact=False, config={"seed": 2}, **ORACLE_GEOMETRIES["noisy-circle"]
+        )
+        with QTDAService() as service:
+            result = service.run(request)
+        assert result.payload["exact_betti"] is None
+        assert result.payload == object_level_oracle(request)
+
+    @pytest.mark.parametrize("k, flag", [(0, True), (1, True), (2, False)])
+    def test_build_complex_representation(self, k, flag):
+        request = EstimationRequest(k=k, **ORACLE_GEOMETRIES["noisy-circle"])
+        complex_ = request.build_complex()
+        assert isinstance(complex_, FlagComplexArrays) is flag
+        assert isinstance(complex_, SimplicialComplex) is not flag
+        assert isinstance(
+            EstimationRequest(k=k, simplices=TRIANGLE).build_complex(), SimplicialComplex
+        )
 
 
 # -- streaming sweeps -----------------------------------------------------------

@@ -6,6 +6,7 @@ same path production traffic takes — via the keep-alive
 """
 
 import contextlib
+import http.client
 import json
 import threading
 import time
@@ -27,6 +28,7 @@ from repro.core.pipeline import PipelineConfig
 from repro.datasets import HighDimStreamConfig, generate_highdim_cloud_stream
 from repro.datasets.point_clouds import circle_cloud
 from repro.serve import (
+    MAX_BODY_BYTES,
     QTDAServer,
     ServeConfig,
     ServiceClient,
@@ -219,6 +221,56 @@ class TestErrorEnvelopes:
         assert excinfo.value.status == 500
         assert excinfo.value.reason == "internal_error"
         assert client.health()["status"] == "ok"  # server is still alive
+
+
+def raw_post(server, content_length, body=b""):
+    """POST with a hand-written ``Content-Length``: ``(status, will_close, document)``."""
+    conn = http.client.HTTPConnection(server.host, server.port, timeout=10)
+    try:
+        conn.putrequest("POST", "/v1/estimate")
+        conn.putheader("Content-Type", "application/json")
+        conn.putheader("Content-Length", content_length)
+        conn.endheaders()
+        if body:
+            conn.send(body)
+        response = conn.getresponse()
+        return response.status, response.will_close, json.loads(response.read())
+    finally:
+        conn.close()
+
+
+class TestBodyFraming:
+    @pytest.mark.parametrize("declared", ["abc", "-5", "1.5", ""])
+    def test_malformed_content_length_gets_structured_400(self, shared, declared):
+        server, client = shared
+        status, will_close, document = raw_post(server, declared, b"{}")
+        assert status == 400
+        assert will_close
+        assert document["schema_version"] == SCHEMA_VERSION
+        assert document["error"]["reason"] == "invalid_content_length"
+        # The server keeps serving: a well-formed request right after succeeds.
+        assert client.estimate(estimate_request())["payload"]["betti_rounded"] == 1
+
+    def test_oversized_content_length_gets_413_without_reading(self, shared):
+        server, client = shared
+        # No body is sent: if the server tried to read the declared bytes it
+        # would block until the client's timeout instead of answering.
+        started = time.monotonic()
+        status, will_close, document = raw_post(server, str(MAX_BODY_BYTES + 1))
+        assert time.monotonic() - started < 5.0
+        assert status == 413
+        assert will_close
+        assert document["error"]["reason"] == "body_too_large"
+        assert document["error"]["max_body_bytes"] == MAX_BODY_BYTES
+        assert client.estimate(estimate_request())["payload"]["betti_rounded"] == 1
+
+    def test_body_at_declared_length_is_served(self, shared):
+        server, _client = shared
+        body = json.dumps(estimate_request().as_dict()).encode("utf-8")
+        status, will_close, document = raw_post(server, str(len(body)), body)
+        assert status == 200
+        assert not will_close
+        assert document["payload"]["betti_rounded"] == 1
 
 
 class TestQuotasOverHTTP:
