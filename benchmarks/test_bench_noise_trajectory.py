@@ -125,5 +125,5 @@ def test_bench_trajectory_route_speedup(benchmark, paper_scale, bench_json):
     )
     # The acceptance criterion of the trajectory-route PR.
     assert speedup >= GATE, (
-        f"expected >= {GATE}x over the noisy density-matrix route, measured {speedup:.1f}x"
+        f"expected >= {GATE}x over the density-matrix route under noise, measured {speedup:.1f}x"
     )

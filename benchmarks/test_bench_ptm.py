@@ -1,4 +1,4 @@
-"""Benchmark — the fused-PTM noise route vs the noisy density-matrix route.
+"""Benchmark — the fused-PTM noise route vs the density-matrix route under noise.
 
 The PTM route (DESIGN.md §16) is the *exact* fast path for declarative
 noise: every gate and attached channel becomes a real Pauli-transfer
@@ -10,7 +10,7 @@ contraction to machine precision, at gate-fusion speed.
 The gate: at ``q = 6`` system qubits and ``t = 4`` precision qubits (the
 same 48-dimensional workload Laplacian as the other circuit-engine
 benchmarks) under per-gate-class depolarising noise, the warm PTM route
-must beat the noisy density-matrix route by at least 5× while agreeing
+must beat the density-matrix route under noise by at least 5× while agreeing
 with it to 1e-8 (absolute, per readout probability — an exactness pin,
 not a statistical tolerance).
 """
@@ -126,5 +126,5 @@ def test_bench_ptm_route_speedup(benchmark, paper_scale, bench_json):
     )
     # The acceptance criterion of the fused-PTM-route PR.
     assert speedup >= GATE, (
-        f"expected >= {GATE}x over the noisy density-matrix route, measured {speedup:.1f}x"
+        f"expected >= {GATE}x over the density-matrix route under noise, measured {speedup:.1f}x"
     )

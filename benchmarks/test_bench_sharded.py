@@ -1,8 +1,8 @@
-"""Benchmark — process/device-sharded ensemble execution vs single-process.
+"""Benchmark — process-sharded ensemble execution vs single-process.
 
 The ensemble route's batch axis is embarrassingly parallel, and the sharded
-executor (DESIGN.md §14) splits it across spawn-context CPU processes or
-CuPy device contexts while staying bit-identical to the unsharded engine.
+executor (DESIGN.md §14) splits it across spawn-context CPU processes while
+staying bit-identical to the unsharded engine.
 
 The gate: at ``q = 6`` system qubits and ``t = 4`` precision qubits (the
 same 48-dimensional workload the circuit-engine benchmark uses), the
@@ -17,10 +17,6 @@ shipment exactly once across its lifetime, so per-request latency is the
 honest comparison.  The IR cache is what makes the sharded side viable at
 this scale — warm requests ship a fingerprint and an index range, not the
 megabyte of fused gate matrices.
-
-The GPU benchmark is opt-in by hardware: it runs when CuPy sees a CUDA
-device and is *visibly skipped* (pytest ``-rs``) with the exact reason when
-not, so the device path shows up in every benchmark report either way.
 """
 
 from __future__ import annotations
@@ -34,7 +30,7 @@ import pytest
 from repro.core.backends import EstimationProblem
 from repro.core.backends.statevector import circuit_backend_result
 from repro.core.config import QTDAConfig
-from repro.quantum.sharding import device_backend_available, shutdown_shard_pools
+from repro.quantum.sharding import shutdown_shard_pools
 
 PRECISION = 4  # t
 DIMENSION = 48  # |S_k|, padded to 2^6 -> q = 6
@@ -53,7 +49,7 @@ def _workload_laplacian(dim: int = DIMENSION) -> np.ndarray:
     return (lap + lap.T) / 2.0
 
 
-def _route_seconds(problem: EstimationProblem, shards: int, shard_backend: str = "process"):
+def _route_seconds(problem: EstimationProblem, shards: int):
     config = QTDAConfig(
         precision_qubits=PRECISION,
         shots=None,
@@ -61,7 +57,7 @@ def _route_seconds(problem: EstimationProblem, shards: int, shard_backend: str =
         backend="statevector",
         circuit_engine="ensemble",
         shards=shards,
-        shard_backend=shard_backend,
+        shard_backend="process",
     )
     start = time.perf_counter()
     result = circuit_backend_result(problem, config, "exact", None)
@@ -128,8 +124,7 @@ def test_bench_process_sharded_speedup(benchmark, paper_scale, bench_json):
     assert identical, "sharded distribution diverged from the single-process bytes"
     assert sharded.shards == shards
     assert sharded.shard_backend == "process"
-    assert sharded.device == "cpu"
-    assert (single.shards, single.shard_backend, single.device) == (None, None, None)
+    assert (single.shards, single.shard_backend) == (None, None)
     if gated:
         # The acceptance criterion of the sharded-execution PR.
         assert speedup >= GATE, (
@@ -137,44 +132,3 @@ def test_bench_process_sharded_speedup(benchmark, paper_scale, bench_json):
         )
     shutdown_shard_pools()
 
-
-@pytest.mark.benchmark(group="sharded")
-def test_bench_device_sharded_gpu(benchmark, paper_scale, bench_json):
-    available, reason = device_backend_available()
-    if not available:
-        pytest.skip(f"GPU shard benchmark needs CuPy + CUDA: {reason}")
-
-    laplacian = _workload_laplacian()  # pragma: no cover - requires CUDA hardware
-    problem = EstimationProblem(laplacian=laplacian)
-    _route_seconds(problem, shards=2, shard_backend="device")  # warm context + fusion
-    single_seconds, single = _route_seconds(problem, shards=1)
-    device_seconds, device = _route_seconds(problem, shards=2, shard_backend="device")
-    warm = benchmark.pedantic(
-        lambda: _route_seconds(problem, shards=2, shard_backend="device")[0],
-        rounds=1,
-        iterations=1,
-    )
-    speedup = single_seconds / device_seconds
-    print()
-    print(
-        f"q=6 t={PRECISION}: single CPU {single_seconds:.3f}s | device-sharded "
-        f"{device_seconds:.3f}s (warm {float(warm):.3f}s) | speedup {speedup:.2f}x"
-    )
-    bench_json(
-        "sharded_gpu",
-        {
-            "system_qubits": 6,
-            "precision_qubits": PRECISION,
-            "laplacian_dimension": DIMENSION,
-            "single_process_seconds": single_seconds,
-            "device_sharded_seconds": device_seconds,
-            "device_sharded_warm_seconds": float(warm),
-            "speedup": speedup,
-            "device": device.device,
-        },
-    )
-    # The device route must agree with the CPU reduction; GEMM on the GPU is
-    # not bit-identical to the host BLAS, so this is a numerical gate.
-    np.testing.assert_allclose(device.distribution, single.distribution, atol=1e-10)
-    assert device.shard_backend == "device"
-    shutdown_shard_pools()

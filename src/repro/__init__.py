@@ -43,8 +43,7 @@ Quick start — one request in, one result envelope out::
 The same service fans batches across a worker pool (``service.map``), runs
 requests asynchronously (``service.submit``) and streams ε-sweeps
 incrementally (``service.stream_sweep``).  Heavy single requests can shard
-the circuit engine's batch axis across CPU processes — or CuPy devices via
-``REPRO_ARRAY_MODULE=cupy`` / ``QTDAConfig.devices`` — with
+the circuit engine's batch axis across CPU processes with
 ``config={"shards": 4}`` (bit-identical to the unsharded run; see DESIGN.md
 §14).  The pre-service entry points remain available and bit-identical::
 

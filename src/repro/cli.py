@@ -55,7 +55,7 @@ def _add_noise_options(parser) -> None:
         "--noise-channel",
         default=None,
         help=(
-            "per-gate noise channel for the noisy-density backend "
+            "per-gate noise channel for the statevector/trotter backends "
             "(depolarizing, bit-flip, phase-flip or amplitude-damping)"
         ),
     )
@@ -70,9 +70,10 @@ def _add_noise_options(parser) -> None:
         choices=("auto", "ensemble", "ptm", "trajectory", "purified", "density"),
         default="auto",
         help=(
-            "circuit execution route for the statevector/noisy backends "
+            "circuit execution route for the statevector/trotter backends "
             "('auto' picks ensemble when noise-free, the exact ptm route for "
-            "declarative noise on small registers, trajectory above)"
+            "declarative noise on small registers, trajectory above; "
+            "'density' is the exact Kraus contraction)"
         ),
     )
     parser.add_argument(
@@ -98,9 +99,9 @@ def _add_noise_options(parser) -> None:
     )
     parser.add_argument(
         "--shard-backend",
-        choices=("serial", "thread", "process", "device"),
+        choices=("serial", "thread", "process"),
         default="process",
-        help="where shards run ('device' needs cupy and a visible GPU)",
+        help="where shards run",
     )
 
 

@@ -60,16 +60,20 @@ from repro.utils.validation import check_integer
 #: Version of the request/result wire format.  Bump on any incompatible
 #: change to the dictionaries emitted by ``as_dict`` (consumers validate it
 #: through :meth:`EstimationResult.validate_dict`).
-#: History: 4 — provenance gained required ``shards``/``shard_backend``/
-#: ``device`` fields and ``QTDAConfig`` gained ``shards``/``shard_backend``/
-#: ``devices`` (request fingerprints changed); 3 — provenance gained required
+#: History: 5 — provenance dropped the ``device`` field, ``QTDAConfig``
+#: dropped ``use_purification``/``fuse_purified``/``devices``, and the
+#: ``noisy-density`` backend and ``"device"`` shard backend were removed
+#: (request fingerprints changed); 4 — provenance gained required
+#: ``shards``/``shard_backend``/``device`` fields and ``QTDAConfig`` gained
+#: ``shards``/``shard_backend``/``devices`` (request fingerprints changed);
+#: 3 — provenance gained required
 #: ``n_trajectories``/``noise_spec`` fields and ``QTDAConfig`` gained the
 #: :class:`repro.quantum.channels.NoiseSpec` fields plus
 #: ``n_trajectories``/``fuse_purified`` (request fingerprints changed); 2 —
 #: provenance gained required ``engine_route``/``fused_gates`` fields and
 #: ``QTDAConfig`` gained ``circuit_engine`` (request fingerprints changed);
 #: 1 — initial service wire format.
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 #: The request kinds the service understands, in dispatch order.
 #: ``observe`` (added within schema version 3 — purely additive) feeds raw
@@ -741,10 +745,9 @@ class Provenance:
     block count (fused gates on the ensemble engine, fused superoperators on
     the PTM route); ``n_trajectories``/``noise_spec`` record the trajectory-route
     repetition count and the resolved noise description the run executed
-    under (``None`` for noiseless runs); ``shards``/``shard_backend``/
-    ``device`` record how the engine's batch/trajectory axis was sharded and
-    where the shards ran (:mod:`repro.quantum.sharding`; ``None`` for
-    unsharded runs).
+    under (``None`` for noiseless runs); ``shards``/``shard_backend`` record
+    how the engine's batch/trajectory axis was sharded
+    (:mod:`repro.quantum.sharding`; ``None`` for unsharded runs).
     """
 
     request_kind: str
@@ -763,7 +766,6 @@ class Provenance:
     noise_spec: Optional[Dict[str, Any]] = None
     shards: Optional[int] = None
     shard_backend: Optional[str] = None
-    device: Optional[str] = None
     schema_version: int = SCHEMA_VERSION
 
     def as_dict(self) -> Dict[str, Any]:
@@ -785,7 +787,6 @@ class Provenance:
             "noise_spec": self.noise_spec,
             "shards": self.shards,
             "shard_backend": self.shard_backend,
-            "device": self.device,
         }
 
 
@@ -808,7 +809,6 @@ _PROVENANCE_FIELDS = (
     "noise_spec",
     "shards",
     "shard_backend",
-    "device",
 )
 
 
@@ -1251,13 +1251,12 @@ class QTDAService:
         """Register a shard-executor profile under ``name``.
 
         ``executor`` is a :class:`~repro.quantum.sharding.ShardedExecutor`
-        (or anything exposing ``num_shards``/``backend``/``devices`` and
-        ``close()``).  :meth:`submit`/:meth:`map` can then schedule
-        estimation requests onto it by name: the request's config is
-        rewritten to the executor's shard settings before execution, so one
-        service can spread a stream of requests across, say, a CPU process
-        pool and one profile per GPU.  Registered executors are closed by
-        :meth:`close`.
+        (or anything exposing ``num_shards``/``backend`` and ``close()``).
+        :meth:`submit`/:meth:`map` can then schedule estimation requests
+        onto it by name: the request's config is rewritten to the executor's
+        shard settings before execution, so one service can spread a stream
+        of requests across, say, a thread pool and a process pool.
+        Registered executors are closed by :meth:`close`.
         """
         if not name:
             raise ValueError("executor name must be non-empty")
@@ -1293,7 +1292,6 @@ class QTDAService:
         config = request.config.replace(
             shards=int(executor.num_shards),
             shard_backend=str(executor.backend),
-            devices=getattr(executor, "devices", None),
         )
         return replace(request, config=config)
 
@@ -1352,7 +1350,7 @@ class QTDAService:
 
         ``executor`` names a registered shard executor
         (:meth:`register_executor`): the request is rewritten to that
-        executor's ``shards``/``shard_backend``/``devices`` before running,
+        executor's ``shards``/``shard_backend`` before running,
         so heavy estimations shard across its worker pool.  Sharding never
         changes numbers (bit-identical to unsharded), so the rewrite only
         affects provenance and throughput.
@@ -1544,7 +1542,7 @@ class QTDAService:
         Returns ``(payload, backend, operator_format, seed, extras)`` where
         ``extras`` holds whatever optional :class:`Provenance` fields the
         execution produced (``betti_std``, ``engine_route``,
-        ``shards``/``shard_backend``/``device``, ...) — ``run()`` splats it
+        ``shards``/``shard_backend``, ...) — ``run()`` splats it
         into the provenance record, so new execution-side provenance only
         needs to appear here.
         """
@@ -1566,7 +1564,6 @@ class QTDAService:
                     "noise_spec": estimate.noise_spec,
                     "shards": estimate.shards,
                     "shard_backend": estimate.shard_backend,
-                    "device": estimate.device,
                 },
             )
         if isinstance(request, PipelineRequest):

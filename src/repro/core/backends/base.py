@@ -133,10 +133,6 @@ class BackendResult:
         (``QTDAConfig.shards``/``shard_backend`` as actually executed —
         :mod:`repro.quantum.sharding`); ``None`` when the run used the plain
         single-executor path.
-    device:
-        Where sharded work ran (``"cpu"`` or ``"cuda:<ordinals>"``, from
-        :attr:`repro.quantum.sharding.ShardedExecutor.device_label`);
-        ``None`` for unsharded runs.
     """
 
     distribution: np.ndarray
@@ -149,7 +145,6 @@ class BackendResult:
     noise_spec: "dict | None" = None
     shards: "int | None" = None
     shard_backend: "str | None" = None
-    device: "str | None" = None
 
 
 @runtime_checkable

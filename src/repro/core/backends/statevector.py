@@ -26,20 +26,20 @@ DESIGN.md §11):
   density result and the spread becomes ``p_zero_std``.
 * ``purified`` — the Fig. 2 construction: auxiliary qubits and Bell pairs,
   statevector simulation on ``t + 2q`` qubits (legacy route,
-  bit-identity-pinned; opt-in gate fusion via ``QTDAConfig.fuse_purified``).
+  bit-identity-pinned).
 * ``density`` — density-matrix evolution of ``|0><0| ⊗ I/2^q`` on ``t + q``
   qubits, gate by gate (legacy route, bit-identity-pinned; the exact Kraus
   contraction, and the only noise route for hand-built ``NoiseModel``
   objects no :class:`~repro.quantum.channels.NoiseSpec` can express).
 
-This module also hosts the circuit-execution plumbing shared by the
-``trotter`` and ``noisy-density`` backends, which differ only in how ``U`` is
-synthesised and in how noise is injected.
+NISQ runs are this backend with a noise configuration (``noise_channel`` and
+friends); ``circuit_engine="density"`` forces the exact Kraus contraction.
+This module also hosts the circuit-execution plumbing shared with the
+``trotter`` backend, which differs only in how ``U`` is synthesised.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace as dc_replace
 from typing import Optional
 
 import numpy as np
@@ -121,105 +121,63 @@ def resolve_circuit_route(
 
 
 def mixed_initial_state(spec: QTDACircuitSpec) -> DensityMatrix:
-    """``|0><0|`` on precision (and auxiliary) registers, ``I/2^q`` on the system."""
-    t, q, aux = spec.precision_qubits, spec.system_qubits, spec.auxiliary_qubits
-    rho_precision = DensityMatrix.zero_state(t).matrix
-    rho_system = DensityMatrix.maximally_mixed(q).matrix
-    rho = np.kron(rho_precision, rho_system)
-    if aux:
-        rho = np.kron(rho, DensityMatrix.zero_state(aux).matrix)
-    return DensityMatrix(rho)
+    """``|0><0|`` on the precision register, ``I/2^q`` on the system register."""
+    rho_precision = DensityMatrix.zero_state(spec.precision_qubits).matrix
+    rho_system = DensityMatrix.maximally_mixed(spec.system_qubits).matrix
+    return DensityMatrix(np.kron(rho_precision, rho_system))
 
 
 def _resolve_engine_executor(config, fuse: bool = True):
     """The engine executor a circuit route should run on.
 
-    Returns ``(executor, shard_info)`` where ``shard_info`` is a
-    ``(shards, shard_backend, device)`` provenance triple, all ``None`` for
-    the plain single-executor path.  ``config.shards > 1`` selects a
+    Returns ``(executor, shard_fields)`` where ``shard_fields`` holds the
+    ``shards``/``shard_backend`` provenance (empty for the plain
+    single-executor path).  ``config.shards > 1`` selects a
     :class:`~repro.quantum.sharding.ShardedExecutor` over the configured
     backend — sharded results are bit-identical to the unsharded executor's,
     so routing through here never changes numbers, only throughput.
     """
     shards = int(getattr(config, "shards", 1) or 1)
     if shards <= 1:
-        return EnsembleExecutor(fuse=fuse), (None, None, None)
+        return EnsembleExecutor(fuse=fuse), {}
     shard_backend = str(getattr(config, "shard_backend", "process"))
-    devices = getattr(config, "devices", None)
-    executor = ShardedExecutor(shards, backend=shard_backend, devices=devices, fuse=fuse)
-    return executor, (executor.num_shards, executor.backend, executor.device_label)
+    executor = ShardedExecutor(shards, backend=shard_backend, fuse=fuse)
+    return executor, {"shards": executor.num_shards, "shard_backend": executor.backend}
 
 
-def _ensemble_route_result(problem: EstimationProblem, config, synthesis: str) -> BackendResult:
+def _ensemble_route(circuit, circuit_spec: QTDACircuitSpec, config):
     """Batched-statevector execution of the mixed-state circuit.
 
-    The circuit is built without purification on ``t + q`` qubits; the
-    ``2^q`` system basis states form the ensemble (full-register basis index
-    ``b`` — the precision register reads ``|0...0>``, so the indices coincide).
-    The exact synthesis uses spectral controlled powers (one ``eigh`` of
-    ``H``, phases raised to ``2^j``); the engine fuses adjacent small gates
-    (cached per circuit fingerprint) and chunks the batch to its memory
-    budget.
+    The ``2^q`` system basis states form the ensemble (full-register basis
+    index ``b`` — the precision register reads ``|0...0>``, so the indices
+    coincide); the engine fuses adjacent small gates (cached per circuit
+    fingerprint) and chunks the batch to its memory budget.
     """
-    hamiltonian = problem.dense_hamiltonian(config)
-    circuit, spec = qtda_circuit(
-        hamiltonian,
-        precision_qubits=config.precision_qubits,
-        use_purification=False,
-        synthesis=synthesis,
-        trotter_steps=config.trotter_steps,
-        trotter_order=config.trotter_order,
-        power_synthesis="spectral" if synthesis == "exact" else "chain",
-    )
-    executor, (shards, shard_backend, device) = _resolve_engine_executor(config)
+    executor, shard_fields = _resolve_engine_executor(config)
     plan = executor.gate_plan(circuit)
     distribution = executor.basis_ensemble_distribution(
         circuit,
-        qubits=list(spec.precision_register),
-        basis_states=range(2**spec.system_qubits),
+        qubits=list(circuit_spec.precision_register),
+        basis_states=range(2**circuit_spec.system_qubits),
         plan=plan,
     )
-    return BackendResult(
-        distribution=distribution,
-        num_system_qubits=hamiltonian.num_qubits,
-        lambda_max=hamiltonian.padded.lambda_max,
-        engine_route="ensemble",
-        fused_gates=len(plan),
-        shards=shards,
-        shard_backend=shard_backend,
-        device=device,
-    )
+    return distribution, {"fused_gates": len(plan), **shard_fields}
 
 
-def _trajectory_route_result(
-    problem: EstimationProblem,
-    config,
-    synthesis: str,
-    spec: NoiseSpec,
-    rng: np.random.Generator,
-) -> BackendResult:
+def _trajectory_route(
+    circuit, circuit_spec: QTDACircuitSpec, config, spec: NoiseSpec, rng: np.random.Generator
+):
     """Stochastic Kraus-trajectory execution of the noisy mixed-state circuit.
 
-    The circuit construction mirrors :func:`_ensemble_route_result` (no
-    purification, ``t + q`` qubits); both synthesis styles emit the same gate
-    *sequence* as the legacy density route, so ``spec.channels_for_gate``
-    places noise at identical points and the trajectory mean converges to the
-    density result.  Fusion is bypassed inside the executor for the same
-    reason.  The spread over ``config.n_trajectories`` repetitions surfaces
-    as ``p_zero_std``.
+    Both synthesis styles emit the same gate *sequence* as the legacy density
+    route, so ``spec.channels_for_gate`` places noise at identical points and
+    the trajectory mean converges to the density result.  Fusion is bypassed
+    inside the executor for the same reason, and readout error is applied
+    per trajectory row there.  The spread over ``config.n_trajectories``
+    repetitions surfaces as ``p_zero_std``.
     """
-    hamiltonian = problem.dense_hamiltonian(config)
-    circuit, circuit_spec = qtda_circuit(
-        hamiltonian,
-        precision_qubits=config.precision_qubits,
-        use_purification=False,
-        synthesis=synthesis,
-        trotter_steps=config.trotter_steps,
-        trotter_order=config.trotter_order,
-        power_synthesis="spectral" if synthesis == "exact" else "chain",
-    )
     n_trajectories = int(getattr(config, "n_trajectories", 8))
-    executor, (shards, shard_backend, device) = _resolve_engine_executor(config, fuse=False)
+    executor, shard_fields = _resolve_engine_executor(config, fuse=False)
     distribution, sem = executor.trajectory_basis_distribution(
         circuit,
         qubits=list(circuit_spec.precision_register),
@@ -228,47 +186,26 @@ def _trajectory_route_result(
         rng=rng,
         n_trajectories=n_trajectories,
     )
-    return BackendResult(
-        distribution=distribution,
-        num_system_qubits=hamiltonian.num_qubits,
-        lambda_max=hamiltonian.padded.lambda_max,
-        p_zero_std=float(sem[0]) if n_trajectories > 1 else None,
-        engine_route="trajectory",
-        n_trajectories=n_trajectories,
-        noise_spec=spec.as_dict(),
-        shards=shards,
-        shard_backend=shard_backend,
-        device=device,
-    )
+    return distribution, {
+        "p_zero_std": float(sem[0]) if n_trajectories > 1 else None,
+        "n_trajectories": n_trajectories,
+        "noise_spec": spec.as_dict(),
+        **shard_fields,
+    }
 
 
-def _ptm_route_result(
-    problem: EstimationProblem, config, synthesis: str, spec: NoiseSpec
-) -> BackendResult:
+def _ptm_route(circuit, circuit_spec: QTDACircuitSpec, spec: NoiseSpec):
     """Exact noisy execution on the fused Pauli-transfer-matrix route.
 
-    The circuit construction mirrors :func:`_ensemble_route_result` (no
-    purification, ``t + q`` qubits, spectral controlled powers for the exact
-    synthesis); gates and their attached noise channels are lowered to PTMs
-    and fused into single superoperators
-    (:func:`~repro.quantum.fusion.fuse_ptm_program`, cached per
-    circuit+NoiseSpec fingerprint), then a single real ``4^(t+q)`` Pauli
-    vector evolves through the program.  No sampling: the readout equals the
-    density route's to floating point, and ``fused_gates`` carries the fused
-    superoperator count.  The Pauli state is one column, so ``config.shards``
-    has no batch axis to split here — the route runs unsharded (provenance
-    ``shards=None``) regardless.
+    Gates and their attached noise channels are lowered to PTMs and fused
+    into single superoperators (:func:`~repro.quantum.fusion.
+    fuse_ptm_program`, cached per circuit+NoiseSpec fingerprint), then a
+    single real ``4^(t+q)`` Pauli vector evolves through the program.  No
+    sampling: the readout equals the density route's to floating point, and
+    ``fused_gates`` carries the fused superoperator count.  The Pauli state
+    is one column, so ``config.shards`` has no batch axis to split here —
+    the route runs unsharded regardless.
     """
-    hamiltonian = problem.dense_hamiltonian(config)
-    circuit, circuit_spec = qtda_circuit(
-        hamiltonian,
-        precision_qubits=config.precision_qubits,
-        use_purification=False,
-        synthesis=synthesis,
-        trotter_steps=config.trotter_steps,
-        trotter_order=config.trotter_order,
-        power_synthesis="spectral" if synthesis == "exact" else "chain",
-    )
     executor = PTMExecutor()
     gate_spec = spec if spec.has_gate_noise else None
     program = executor.program(circuit, noise_spec=gate_spec)
@@ -280,16 +217,7 @@ def _ptm_route_result(
         noise_spec=gate_spec,
         program=program,
     )
-    if spec.readout_error > 0:
-        distribution = apply_readout_error(distribution, spec.readout_error)
-    return BackendResult(
-        distribution=distribution,
-        num_system_qubits=hamiltonian.num_qubits,
-        lambda_max=hamiltonian.padded.lambda_max,
-        engine_route="ptm",
-        fused_gates=program.num_superops,
-        noise_spec=spec.as_dict() if not spec.is_noiseless else None,
-    )
+    return distribution, {"fused_gates": program.num_superops}
 
 
 def _executed_noise_spec(config, noise_model: Optional[NoiseModel]) -> NoiseSpec:
@@ -304,50 +232,37 @@ def _executed_noise_spec(config, noise_model: Optional[NoiseModel]) -> NoiseSpec
     return spec
 
 
+#: Routes that run on the execution engines; the remaining two are the legacy
+#: single-simulator routes.
+_ENGINE_ROUTES = ("ensemble", "trajectory", "ptm")
+
+
 def circuit_backend_result(
     problem: EstimationProblem,
     config,
     synthesis: str,
     noise_model: Optional[NoiseModel],
-    use_purification: Optional[bool] = None,
     rng: Optional[np.random.Generator] = None,
 ) -> BackendResult:
     """Build and execute the Fig. 6 circuit, returning the readout distribution.
 
-    The route comes from ``config.circuit_engine`` via
-    :func:`resolve_circuit_route`; the legacy ``use_purification`` keyword,
-    when passed explicitly, forces the corresponding legacy route (purified
-    statevector, or the density-matrix evolution — noise always implies the
-    latter), bypassing the ensemble engine.  ``rng`` drives the trajectory
-    route's branch sampling (falls back to a ``config.seed``-derived
-    generator); a configured ``readout_error`` is applied to the final
-    distribution on every route (exact per-bit confusion contraction).
+    The Hamiltonian and the circuit are built once per run.  The route comes
+    from ``config.circuit_engine`` via :func:`resolve_circuit_route`.  Only
+    the ``purified`` route carries the Fig. 2 auxiliary register; every other
+    route runs ``t + q`` qubits.  Under exact synthesis the engine routes use
+    spectral controlled powers (one ``eigh`` of ``H``, phases raised to
+    ``2^j``), while the legacy ``purified``/``density`` routes keep the
+    ``expm`` chain their bit-identity pins were captured on.  ``rng`` drives
+    the trajectory route's branch sampling (falls back to a
+    ``config.seed``-derived generator); a configured ``readout_error`` is
+    applied to the final distribution on every route (exact per-bit
+    confusion contraction).
     """
-    if use_purification is None:
-        # The auto PTM-vs-trajectory threshold needs the register size; the
-        # padded Hamiltonian (a Gershgorin bound, no eigensolve) is cheap.
-        total_qubits = config.precision_qubits + problem.dense_hamiltonian(config).num_qubits
-        route = resolve_circuit_route(config, noise_model, total_qubits=total_qubits)
-    else:
-        route = "purified" if (use_purification and noise_model is None) else "density"
-    spec = _executed_noise_spec(config, noise_model)
-    if route == "ptm":
-        return _ptm_route_result(problem, config, synthesis, spec)
-    if route == "trajectory":
-        if rng is None:
-            rng = as_rng(getattr(config, "seed", None))
-        return _trajectory_route_result(problem, config, synthesis, spec, rng)
-    if route == "ensemble":
-        result = _ensemble_route_result(problem, config, synthesis)
-        if spec.readout_error > 0:
-            result = dc_replace(
-                result,
-                distribution=apply_readout_error(result.distribution, spec.readout_error),
-                noise_spec=spec.as_dict(),
-            )
-        return result
-
     hamiltonian = problem.dense_hamiltonian(config)
+    # The auto PTM-vs-trajectory threshold needs the register size.
+    total_qubits = config.precision_qubits + hamiltonian.num_qubits
+    route = resolve_circuit_route(config, noise_model, total_qubits=total_qubits)
+    spec = _executed_noise_spec(config, noise_model)
     circuit, circuit_spec = qtda_circuit(
         hamiltonian,
         precision_qubits=config.precision_qubits,
@@ -355,25 +270,35 @@ def circuit_backend_result(
         synthesis=synthesis,
         trotter_steps=config.trotter_steps,
         trotter_order=config.trotter_order,
+        power_synthesis="spectral" if synthesis == "exact" and route in _ENGINE_ROUTES else "chain",
     )
     precision_register = list(circuit_spec.precision_register)
-    if route == "density":
-        sim = DensityMatrixSimulator(noise_model=noise_model)
-        final = sim.run(circuit, initial_state=mixed_initial_state(circuit_spec))
+    fields = {}
+    if route == "ensemble":
+        distribution, fields = _ensemble_route(circuit, circuit_spec, config)
+    elif route == "trajectory":
+        if rng is None:
+            rng = as_rng(getattr(config, "seed", None))
+        distribution, fields = _trajectory_route(circuit, circuit_spec, config, spec, rng)
+    elif route == "ptm":
+        distribution, fields = _ptm_route(circuit, circuit_spec, spec)
+    elif route == "density":
+        final = DensityMatrixSimulator(noise_model=noise_model).run(
+            circuit, initial_state=mixed_initial_state(circuit_spec)
+        )
         distribution = final.marginal_probabilities(precision_register)
     else:
-        fuse_purified = bool(getattr(config, "fuse_purified", False))
-        distribution = StatevectorSimulator(fuse=fuse_purified).probabilities(
-            circuit, qubits=precision_register
-        )
-    if spec.readout_error > 0:
+        distribution = StatevectorSimulator().probabilities(circuit, qubits=precision_register)
+    # Trajectory rows already carry readout error (applied per row in the engine).
+    if route != "trajectory" and spec.readout_error > 0:
         distribution = apply_readout_error(distribution, spec.readout_error)
+    fields.setdefault("noise_spec", None if spec.is_noiseless else spec.as_dict())
     return BackendResult(
         distribution=distribution,
         num_system_qubits=hamiltonian.num_qubits,
         lambda_max=hamiltonian.padded.lambda_max,
         engine_route=route,
-        noise_spec=spec.as_dict() if not spec.is_noiseless else None,
+        **fields,
     )
 
 

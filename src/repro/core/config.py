@@ -33,7 +33,7 @@ from repro.utils.validation import check_integer, check_positive_integer, check_
 PADDING_MODES = ("identity", "zero")
 
 #: Circuit-execution engine choices for the faithful Fig. 6 backends
-#: (``statevector``/``trotter``/``noisy-density``): ``"auto"`` plus the
+#: (``statevector``/``trotter``): ``"auto"`` plus the
 #: concrete routes, derived from the route module's single source of truth
 #: (:data:`repro.core.backends.statevector.CIRCUIT_ROUTES`); see
 #: :func:`repro.core.backends.statevector.resolve_circuit_route` and
@@ -62,8 +62,8 @@ class QTDAConfig:
     backend:
         Name of a registered estimation backend (see
         :func:`repro.core.backends.available_backends`; the built-ins are
-        ``"exact"``, ``"sparse-exact"``, ``"statevector"``, ``"trotter"``
-        and ``"noisy-density"``).
+        ``"exact"``, ``"sparse-exact"``, ``"stochastic-trace"``,
+        ``"statevector"`` and ``"trotter"``).
     padding:
         ``"identity"`` for the paper's λ̃_max/2-identity padding (Eq. 7) or
         ``"zero"`` for the naive zero padding it argues against.
@@ -101,22 +101,11 @@ class QTDAConfig:
 
         All noise-free routes agree to better than ``1e-10``; only the
         legacy two are pinned bit-exactly across releases.
-    use_purification:
-        Legacy route selector, superseded by ``circuit_engine`` (an explicit
-        ``circuit_engine`` always wins; ``"auto"`` no longer consults this
-        flag).  Retained for wire-format compatibility and for direct
-        :func:`repro.core.qtda_circuit.qtda_circuit` callers.
-    fuse_purified:
-        Opt-in gate fusion for the legacy ``purified`` route (the fusion
-        pass of :mod:`repro.quantum.fusion` run inside the single-state
-        simulator).  Off by default: fusion changes floating-point
-        association, and the purified route is bit-identity-pinned.
     noise_channel, noise_strength:
-        Declarative noise parametrisation consumed by the ``noisy-density``
-        backend (and honoured by the other circuit backends): a channel name
-        from :data:`repro.quantum.noise.NOISE_CHANNELS` and its per-gate
-        error probability.  Unlike ``noise_model`` these fields are plain
-        data, so configs stay serialisable (:meth:`as_dict`).
+        Declarative noise parametrisation honoured by the circuit backends:
+        a channel name from :data:`repro.quantum.noise.NOISE_CHANNELS` and
+        its per-gate error probability.  Unlike ``noise_model`` these fields
+        are plain data, so configs stay serialisable (:meth:`as_dict`).
     noise_gate_strengths:
         Optional per-gate-class strength overrides for ``noise_channel``,
         keyed by gate name (``"H"``, ``"CNOT"``, ``"CU"``, ...).  Accepts a
@@ -151,15 +140,8 @@ class QTDAConfig:
     shard_backend:
         Worker flavour for ``shards > 1`` — one of
         :data:`repro.quantum.sharding.SHARD_BACKENDS`:
-        ``"process"`` (default; spawn-context CPU processes), ``"thread"``,
-        ``"serial"`` (in-process, the determinism reference) or ``"device"``
-        (one CuPy device context per shard; requires cupy + CUDA hardware).
-    devices:
-        CUDA device ordinals for the ``"device"`` shard backend, assigned to
-        shards round-robin.  Setting ``devices`` while ``shard_backend`` is
-        the default ``"process"`` selects ``"device"`` automatically;
-        combining it with an explicit ``"serial"``/``"thread"`` backend is an
-        error.
+        ``"process"`` (default; spawn-context CPU processes), ``"thread"``
+        or ``"serial"`` (in-process, the determinism reference).
     trace_deflation_rank:
         Hutch++-style variance reduction for the ``stochastic-trace``
         backend: when positive, a rank-``r`` near-kernel subspace is resolved
@@ -180,8 +162,6 @@ class QTDAConfig:
     trotter_steps: int = 4
     trotter_order: int = 1
     circuit_engine: str = "auto"
-    use_purification: bool = True
-    fuse_purified: bool = False
     noise_channel: Optional[str] = None
     noise_strength: float = 0.0
     noise_gate_strengths: Optional[object] = None
@@ -191,7 +171,6 @@ class QTDAConfig:
     n_trajectories: int = 8
     shards: int = 1
     shard_backend: str = "process"
-    devices: Optional[tuple] = None
     noise_model: Optional[NoiseModel] = None
     trace_deflation_rank: int = 0
     seed: Optional[int] = None
@@ -224,8 +203,6 @@ class QTDAConfig:
             self.trace_deflation_rank, "trace_deflation_rank", minimum=0
         )
         self.noise_strength = check_probability(self.noise_strength, "noise_strength")
-        self.use_purification = bool(self.use_purification)
-        self.fuse_purified = bool(self.fuse_purified)
         self.noise_gate_strengths = _normalise_gate_strengths(self.noise_gate_strengths)
         if (
             self.noise_two_qubit_channel is not None
@@ -245,22 +222,6 @@ class QTDAConfig:
             raise ValueError(
                 f"shard_backend must be one of {SHARD_BACKENDS}, got {self.shard_backend!r}"
             )
-        if self.devices is not None:
-            self.devices = tuple(
-                check_integer(d, "devices", minimum=0) for d in self.devices
-            )
-            if not self.devices:
-                self.devices = None
-        if self.devices is not None:
-            if self.shard_backend == "process":
-                # devices are meaningless on CPU workers: naming them selects
-                # the device backend (process is only the un-asked-for default).
-                self.shard_backend = "device"
-            elif self.shard_backend != "device":
-                raise ValueError(
-                    f"devices={self.devices} requires shard_backend='device', "
-                    f"got {self.shard_backend!r}"
-                )
         if self.noise_gate_strengths and self.noise_channel is None:
             raise ValueError("noise_gate_strengths requires a noise_channel")
         if self.noise_two_qubit_strength > 0 and self.noise_two_qubit_channel is None:

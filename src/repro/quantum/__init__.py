@@ -14,8 +14,8 @@ scratch on NumPy:
   gate-fusion pass cached per circuit fingerprint
   (:mod:`repro.quantum.engine`, :mod:`repro.quantum.fusion`);
 * a sharded execution layer that splits the ensemble batch axis (and the
-  trajectory axis) across CPU processes or CuPy device contexts while
-  staying bit-identical to the unsharded engine
+  trajectory axis) across CPU processes or threads while staying
+  bit-identical to the unsharded engine
   (:mod:`repro.quantum.sharding`);
 * measurement / shot sampling (:mod:`repro.quantum.measurement`);
 * the quantum Fourier transform and quantum phase estimation circuit
@@ -69,7 +69,6 @@ from repro.quantum.sharding import (
     SHARD_BACKENDS,
     ShardPlan,
     ShardedExecutor,
-    device_backend_available,
     get_shard_pool,
     merge_moments,
     moments_from_rows,
@@ -154,7 +153,6 @@ __all__ = [
     "SHARD_BACKENDS",
     "ShardPlan",
     "ShardedExecutor",
-    "device_backend_available",
     "get_shard_pool",
     "merge_moments",
     "moments_from_rows",

@@ -4,8 +4,7 @@ The two hot loops of the QTDA pipeline are embarrassingly parallel along one
 axis each: the ``ensemble`` route evolves ``B = 2^q`` independent basis-state
 columns, and the ``trajectory`` route repeats ``T`` independent stochastic
 unravellings.  This module splits those axes across a pool of workers — CPU
-processes, threads, or CuPy device contexts resolved through the engine's
-``xp`` seam — while staying **bit-identical** to the unsharded run:
+processes or threads — while staying **bit-identical** to the unsharded run:
 
 * *Ensemble route.*  The engine evolves ensembles in fixed column blocks
   (:meth:`~repro.quantum.engine.EnsembleExecutor.evolution_block` — pinned
@@ -58,17 +57,15 @@ from repro.quantum.engine import (
     DEFAULT_MEMORY_BUDGET_BYTES,
     EnsembleExecutor,
     derive_trajectory_seeds,
-    to_host,
     trajectory_mean_and_sem,
     _normalised_weights,
 )
 
 #: Worker-pool flavours a :class:`ShardedExecutor` can run on.  ``"serial"``
 #: executes shards in-process (the determinism reference), ``"thread"`` uses
-#: a thread pool (BLAS releases the GIL inside the wide tensordots),
-#: ``"process"`` a spawn-context process pool, and ``"device"`` one CuPy
-#: device context per shard.
-SHARD_BACKENDS = ("serial", "thread", "process", "device")
+#: a thread pool (BLAS releases the GIL inside the wide tensordots) and
+#: ``"process"`` a spawn-context process pool.
+SHARD_BACKENDS = ("serial", "thread", "process")
 
 #: Reduction modes for the sharded trajectory route: ``"rows"`` ships every
 #: per-trajectory distribution back (bit-identical to the serial reduction),
@@ -216,7 +213,6 @@ def _member_marginals_from_plan(
     basis_block: Sequence[int],
     memory_budget_bytes: int,
     column_block: int,
-    xp=np,
 ) -> np.ndarray:
     """One ensemble shard: ``(out_dim, len(basis_block))`` member marginals.
 
@@ -224,14 +220,13 @@ def _member_marginals_from_plan(
     the shard, so workers never re-run the fusion pass.  The shard starts on
     an evolution-block boundary (the coordinator cuts it there) and the same
     pinned block width is used here, so every evolution runs at exactly the
-    width the unsharded executor would use; host transfers stream one small
-    ``(out_dim, block)`` matrix at a time (never the device states).
+    width the unsharded executor would use.
     """
     executor = EnsembleExecutor(
         fuse=False,
         memory_budget_bytes=memory_budget_bytes,
         column_block=column_block,
-        xp=xp,
+        xp=np,
     )
     prepared = executor._prepare(plan)
     chunk = executor.evolution_block(num_qubits)
@@ -239,9 +234,7 @@ def _member_marginals_from_plan(
     parts = []
     for start in range(0, len(block), chunk):
         sub = block[start : start + chunk]
-        parts.append(
-            to_host(executor._member_marginal_block(sub, prepared, num_qubits, qubits))
-        )
+        parts.append(executor._member_marginal_block(sub, prepared, num_qubits, qubits))
     return np.hstack(parts)
 
 
@@ -260,7 +253,7 @@ def _ensemble_shard_worker(payload) -> Optional[np.ndarray]:
         if plan is None:
             return None
     return _member_marginals_from_plan(
-        num_qubits, plan, qubits, basis_block, memory_budget_bytes, column_block, xp=np
+        num_qubits, plan, qubits, basis_block, memory_budget_bytes, column_block
     )
 
 
@@ -301,10 +294,9 @@ def get_shard_pool(backend: str, workers: int):
 
     Pools are shared across every :class:`ShardedExecutor` (and every
     :class:`~repro.core.api.QTDAService` request), so repeated sharded runs
-    pay interpreter spawn-up once.  ``"device"`` shards run on a thread pool
-    — each thread activates its own CUDA device context.
+    pay interpreter spawn-up once.
     """
-    if backend not in ("thread", "process", "device"):
+    if backend not in ("thread", "process"):
         raise ValueError(f"no pool for shard backend {backend!r}")
     key = (str(backend), int(workers))
     with _POOLS_LOCK:
@@ -331,25 +323,6 @@ def shutdown_shard_pools() -> None:
         pool.shutdown(wait=True)
 
 
-def device_backend_available() -> Tuple[bool, str]:
-    """Whether the ``"device"`` shard backend can run here, with the reason.
-
-    Never raises: used by routing, benchmarks and tests to skip (visibly)
-    when CuPy or CUDA hardware is absent.
-    """
-    try:
-        import cupy
-    except Exception as exc:  # pragma: no cover - depends on environment
-        return False, f"cupy not importable: {exc}"
-    try:  # pragma: no cover - requires CUDA hardware
-        count = int(cupy.cuda.runtime.getDeviceCount())
-    except Exception as exc:  # pragma: no cover - depends on environment
-        return False, f"no usable CUDA runtime: {exc}"
-    if count < 1:  # pragma: no cover - requires CUDA hardware
-        return False, "no CUDA devices present"
-    return True, f"{count} CUDA device(s)"  # pragma: no cover - requires hardware
-
-
 # ---------------------------------------------------------------------------
 # The sharded executor
 # ---------------------------------------------------------------------------
@@ -364,13 +337,7 @@ class ShardedExecutor:
         Number of shards the batch / trajectory axis is split into (clamped
         per call so no shard is empty).
     backend:
-        One of :data:`SHARD_BACKENDS`.  ``"process"`` is the CPU scaling
-        path; ``"device"`` places one shard per CuPy device context and
-        raises at construction when no device is usable
-        (:func:`device_backend_available` lets callers skip cleanly first).
-    devices:
-        Device ordinals for the ``"device"`` backend (round-robin over shards;
-        defaults to device 0 for every shard).  Ignored otherwise.
+        One of :data:`SHARD_BACKENDS`; ``"process"`` is the CPU scaling path.
     fuse, max_fuse_qubits, memory_budget_bytes, column_block:
         Forwarded to the underlying engine semantics: the coordinator runs
         the fusion pass once and ships the plan; each shard evolves at the
@@ -383,7 +350,6 @@ class ShardedExecutor:
         self,
         num_shards: int,
         backend: str = "process",
-        devices: Optional[Sequence[int]] = None,
         fuse: bool = True,
         max_fuse_qubits: int = DEFAULT_MAX_FUSE_QUBITS,
         memory_budget_bytes: int = DEFAULT_MEMORY_BUDGET_BYTES,
@@ -398,14 +364,6 @@ class ShardedExecutor:
         self.fuse = bool(fuse)
         self.max_fuse_qubits = int(max_fuse_qubits)
         self.memory_budget_bytes = int(memory_budget_bytes)
-        self.devices: Optional[Tuple[int, ...]] = None
-        if self.backend == "device":
-            available, reason = device_backend_available()
-            if not available:
-                raise RuntimeError(f"device shard backend unavailable: {reason}")
-            self.devices = (
-                tuple(int(d) for d in devices) if devices else (0,)
-            )
         # The reference executor defines the coordinator-side reduction: the
         # chunk structure it would use unsharded is replayed over the
         # assembled marginal matrix so results match byte for byte.
@@ -417,14 +375,6 @@ class ShardedExecutor:
             xp=np,
         )
         self.column_block = self._reference.column_block
-
-    # -- identity --------------------------------------------------------------
-    @property
-    def device_label(self) -> str:
-        """Provenance string for where shards ran (``cpu`` or ``cuda:<ordinals>``)."""
-        if self.backend == "device" and self.devices is not None:
-            return "cuda:" + ",".join(str(d) for d in self.devices)
-        return "cpu"
 
     def close(self) -> None:
         """Release executor-held resources.
@@ -453,11 +403,7 @@ class ShardedExecutor:
         return f"circuit:{circuit.fingerprint()}"
 
     # -- shard dispatch --------------------------------------------------------
-    def _device_for_shard(self, index: int) -> int:
-        assert self.devices is not None
-        return self.devices[index % len(self.devices)]
-
-    def _run_shards(self, worker, payloads, device_worker=None, ir=None):
+    def _run_shards(self, worker, payloads, ir=None):
         """Run one payload per shard; results in shard order.
 
         ``ir=(key, value, slot)`` activates once-per-shard IR shipping on the
@@ -466,19 +412,10 @@ class ShardedExecutor:
         is blanked to ``None`` before pickling, and any worker that answers
         with the cache-miss sentinel (``None``) gets its shard resent with
         the IR attached.  Serial/thread shards share the coordinator's
-        memory, and device shards run in-process threads, so both always see
-        the attached IR at zero serialisation cost.
+        memory, so they always see the attached IR at zero serialisation cost.
         """
         if self.backend == "serial":
             return [worker(payload) for payload in payloads]
-        if self.backend == "device":
-            assert device_worker is not None
-            pool = get_shard_pool("device", max(len(payloads), 1))
-            futures = [
-                pool.submit(device_worker, payload, self._device_for_shard(index))
-                for index, payload in enumerate(payloads)
-            ]
-            return [future.result() for future in futures]
         pool = get_shard_pool(self.backend, self.num_shards)
         if self.backend == "process" and ir is not None:
             ir_key, ir_value, slot = ir
@@ -533,12 +470,7 @@ class ShardedExecutor:
             )
             for start, stop in block_plan.bounds
         ]
-        blocks = self._run_shards(
-            _ensemble_shard_worker,
-            payloads,
-            device_worker=_device_ensemble_worker,
-            ir=(ir_key, plan, 2),
-        )
+        blocks = self._run_shards(_ensemble_shard_worker, payloads, ir=(ir_key, plan, 2))
         return np.hstack(blocks)
 
     def basis_ensemble_distribution(
@@ -622,12 +554,7 @@ class ShardedExecutor:
             )
             for start, stop in shard_plan.bounds
         ]
-        row_blocks = self._run_shards(
-            _trajectory_shard_worker,
-            payloads,
-            device_worker=_device_trajectory_worker,
-            ir=(ir_key, circuit, 1),
-        )
+        row_blocks = self._run_shards(_trajectory_shard_worker, payloads, ir=(ir_key, circuit, 1))
         if reduction == "moments":
             merged = (0, np.zeros(1), np.zeros(1))
             for block in row_blocks:
@@ -635,27 +562,3 @@ class ShardedExecutor:
             return moments_mean_and_sem(merged)
         return trajectory_mean_and_sem(np.vstack(row_blocks))
 
-
-def _device_ensemble_worker(payload, device_ordinal: int) -> np.ndarray:
-    """One ensemble shard inside a CuPy device context (thread-pool entry)."""
-    import cupy  # the executor validated availability at construction
-
-    num_qubits, _ir_key, plan, qubits, basis_block, memory_budget_bytes, column_block = payload
-    with cupy.cuda.Device(device_ordinal):  # pragma: no cover - requires hardware
-        return _member_marginals_from_plan(
-            num_qubits, plan, qubits, basis_block, memory_budget_bytes, column_block, xp=cupy
-        )
-
-
-def _device_trajectory_worker(payload, device_ordinal: int) -> np.ndarray:
-    """One trajectory shard inside a CuPy device context (thread-pool entry)."""
-    import cupy
-
-    _ir_key, circuit, qubits, basis_states, spec_dict, seeds, weights, memory_budget_bytes = payload
-    with cupy.cuda.Device(device_ordinal):  # pragma: no cover - requires hardware
-        executor = EnsembleExecutor(
-            fuse=False, memory_budget_bytes=memory_budget_bytes, xp=cupy
-        )
-        return executor.trajectory_rows(
-            circuit, qubits, basis_states, NoiseSpec.from_dict(spec_dict), seeds, weights
-        )

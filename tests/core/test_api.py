@@ -161,11 +161,11 @@ class TestRequestHashingAndRoundTrip:
                 seed=2,
             ),
         ),
-        # Sharded/device config: the devices tuple must survive the wire.
+        # Sharded config: the shard settings must survive the wire.
         lambda: EstimationRequest(
             simplices=TRIANGLE,
             k=1,
-            config=QTDAConfig(shards=2, shard_backend="device", devices=(0, 1), seed=3),
+            config=QTDAConfig(shards=2, shard_backend="thread", seed=3),
         ),
     ])
     def test_wire_format_round_trip(self, build):
@@ -618,7 +618,8 @@ class TestUnserialisableConfigs:
             estimator=QTDAConfig(
                 precision_qubits=2,
                 shots=50,
-                backend="noisy-density",
+                backend="statevector",
+                circuit_engine="density",
                 noise_model=NoiseModel.from_channel("depolarizing", 0.01),
                 seed=1,
             ),
@@ -635,7 +636,8 @@ class TestUnserialisableConfigs:
             estimator=QTDAConfig(
                 precision_qubits=2,
                 shots=50,
-                backend="noisy-density",
+                backend="statevector",
+                circuit_engine="density",
                 noise_model=NoiseModel.from_channel("depolarizing", 0.01),
                 seed=1,
             ),
@@ -666,7 +668,8 @@ def test_unserialisable_request_is_still_hashable():
     from repro.quantum.noise import NoiseModel
 
     config = QTDAConfig(
-        backend="noisy-density",
+        backend="statevector",
+        circuit_engine="density",
         noise_model=NoiseModel.from_channel("depolarizing", 0.01),
     )
     request = EstimationRequest(simplices=TRIANGLE, config=config)
@@ -779,7 +782,9 @@ class TestGeometryFingerprint:
         from repro.quantum.noise import NoiseModel
 
         config = QTDAConfig(
-            backend="noisy-density", noise_model=NoiseModel.from_channel("depolarizing", 0.01)
+            backend="statevector",
+            circuit_engine="density",
+            noise_model=NoiseModel.from_channel("depolarizing", 0.01),
         )
         request = EstimationRequest(simplices=TRIANGLE, config=config)
         assert request.geometry_fingerprint() == EstimationRequest(simplices=TRIANGLE).geometry_fingerprint()

@@ -147,7 +147,7 @@ def test_pure_state_engines_reject_noise():
             resolve_circuit_route(config, NoiseModel.depolarizing(0.01))
         with pytest.raises(ValueError, match="noise"):
             QTDAConfig(
-                backend="noisy-density",
+                backend="statevector",
                 circuit_engine=engine,
                 noise_channel="depolarizing",
                 noise_strength=0.01,
@@ -159,29 +159,6 @@ def test_config_validates_circuit_engine():
         QTDAConfig(circuit_engine="warp")
     config = QTDAConfig(circuit_engine="ensemble")
     assert QTDAConfig.from_dict(config.as_dict()).circuit_engine == "ensemble"
-
-
-def test_noisy_density_backend_rejects_pure_state_engines():
-    """Even channel-less (where config validation cannot catch it), an
-    explicit pure-state engine must raise, not silently run density."""
-    for engine in ("ensemble", "purified"):
-        estimator = QTDABettiEstimator(
-            precision_qubits=3, shots=None, backend="noisy-density", circuit_engine=engine
-        )
-        with pytest.raises(ValueError, match="density-matrix route"):
-            estimator.estimate(appendix_complex(), 1)
-
-
-def test_noisy_density_backend_still_routes_density():
-    estimate = QTDABettiEstimator(
-        precision_qubits=3,
-        shots=None,
-        backend="noisy-density",
-        delta=6.0,
-        noise_channel="depolarizing",
-        noise_strength=0.02,
-    ).estimate(appendix_complex(), 1)
-    assert estimate.engine_route == "density"
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +250,7 @@ def test_trajectory_route_is_deterministic_given_seed():
 
 
 @pytest.mark.parametrize("case", sorted(_REFERENCE))
-def test_ptm_route_matches_noisy_density_to_1e8(case):
+def test_ptm_route_matches_density_route_to_1e8(case):
     """The PR's acceptance pin: exact agreement (≤1e-8, no statistical
     tolerance) between the fused-PTM route and the density contraction under
     declarative noise on every reference complex."""
@@ -392,18 +369,6 @@ def test_readout_error_composes_with_the_ensemble_route():
     assert noisy.p_zero != pytest.approx(clean.p_zero, abs=1e-6)
 
 
-def test_purified_route_fusion_is_opt_in_and_bit_identical_when_off():
-    """Satellite: the PR 5 fusion pass wired into the legacy purified route
-    behind ``fuse_purified`` — off by default, bit-identical when off."""
-    baseline = _estimate("statevector", "appendix", "purified")
-    off = _estimate("statevector", "appendix", "purified", fuse_purified=False)
-    assert off.p_zero == baseline.p_zero
-    assert off.betti_estimate == baseline.betti_estimate
-    fused = _estimate("statevector", "appendix", "purified", fuse_purified=True)
-    assert fused.engine_route == "purified"
-    assert fused.p_zero == pytest.approx(baseline.p_zero, abs=1e-10)
-
-
 # ---------------------------------------------------------------------------
 # Service provenance
 # ---------------------------------------------------------------------------
@@ -479,15 +444,9 @@ def test_service_provenance_records_trajectory_route_and_noise_spec():
 def test_config_validates_shard_fields():
     with pytest.raises(ValueError):
         QTDAConfig(shards=0)
-    with pytest.raises(ValueError):
-        QTDAConfig(shard_backend="mpi")
-    with pytest.raises(ValueError):
-        QTDAConfig(devices=(0,), shard_backend="serial")  # devices need the device backend
-    # devices with the default backend auto-select the device backend.
-    coerced = QTDAConfig(devices=(0, 1))
-    assert coerced.shard_backend == "device"
-    assert coerced.devices == (0, 1)
-    assert QTDAConfig(devices=()).devices is None  # empty normalises away
+    for backend in ("mpi", "device"):
+        with pytest.raises(ValueError, match="shard_backend"):
+            QTDAConfig(shard_backend=backend)
 
 
 def test_sharded_service_run_is_bit_identical_and_stamped_in_provenance():
@@ -512,16 +471,14 @@ def test_sharded_service_run_is_bit_identical_and_stamped_in_provenance():
     assert sharded.payload["p_zero"] == plain.payload["p_zero"]
     # Unsharded runs carry nulls; sharded runs carry the full identity.
     assert (plain.provenance.shards, plain.provenance.shard_backend) == (None, None)
-    assert plain.provenance.device is None
     assert sharded.provenance.shards == 2
     assert sharded.provenance.shard_backend == "serial"
-    assert sharded.provenance.device == "cpu"
     document = json.loads(sharded.to_json())
     EstimationResult.validate_dict(document)
-    assert document["schema_version"] == 4
+    assert document["schema_version"] == 5
     assert document["provenance"]["shards"] == 2
     assert document["provenance"]["shard_backend"] == "serial"
-    assert document["provenance"]["device"] == "cpu"
+    assert "device" not in document["provenance"]
 
 
 def test_sharded_trajectory_route_through_service_is_bit_identical():

@@ -1,4 +1,9 @@
-"""Tests for the ``noisy-density`` backend and the noise parametrisation."""
+"""Tests for noisy runs on the exact density-matrix route and the noise parametrisation.
+
+NISQ workloads are the ``statevector`` backend with a noise configuration;
+``circuit_engine="density"`` pins them to the exact Kraus contraction of
+the density-matrix simulator.
+"""
 
 import numpy as np
 import pytest
@@ -9,7 +14,13 @@ from repro.quantum.noise import NOISE_CHANNELS, NoiseModel
 
 
 def _estimate(complex_, **config_kwargs):
-    defaults = dict(precision_qubits=3, shots=None, delta=6.0, backend="noisy-density")
+    defaults = dict(
+        precision_qubits=3,
+        shots=None,
+        delta=6.0,
+        backend="statevector",
+        circuit_engine="density",
+    )
     defaults.update(config_kwargs)
     return QTDABettiEstimator(QTDAConfig(**defaults)).estimate(complex_, 1)
 
@@ -18,6 +29,7 @@ def test_noise_degrades_estimate_monotonically_in_strength(hollow_triangle):
     clean = _estimate(hollow_triangle)
     weak = _estimate(hollow_triangle, noise_channel="depolarizing", noise_strength=0.01)
     strong = _estimate(hollow_triangle, noise_channel="depolarizing", noise_strength=0.10)
+    assert clean.engine_route == weak.engine_route == strong.engine_route == "density"
     assert weak.p_zero != pytest.approx(clean.p_zero, abs=1e-12)
     assert abs(weak.betti_estimate - clean.betti_estimate) < abs(
         strong.betti_estimate - clean.betti_estimate
@@ -57,12 +69,13 @@ def test_from_channel_unknown_name_lists_channels():
         NoiseModel.from_channel("cosmic-rays", 0.1)
 
 
-def test_noisy_backend_with_shots_is_reproducible(hollow_triangle):
+def test_noisy_run_with_shots_is_reproducible(hollow_triangle):
     kwargs = dict(
         precision_qubits=3,
         shots=200,
         delta=6.0,
-        backend="noisy-density",
+        backend="statevector",
+        circuit_engine="density",
         noise_channel="depolarizing",
         noise_strength=0.02,
         seed=42,
@@ -74,7 +87,7 @@ def test_noisy_backend_with_shots_is_reproducible(hollow_triangle):
     assert sum(a.counts.values()) == 200
 
 
-def test_noisy_backend_through_pipeline(circle_points):
+def test_noisy_run_through_pipeline(circle_points):
     from repro.core.pipeline import PipelineConfig, QTDAPipeline
 
     pipeline = QTDAPipeline(
@@ -83,7 +96,8 @@ def test_noisy_backend_through_pipeline(circle_points):
             estimator=QTDAConfig(
                 precision_qubits=2,
                 shots=None,
-                backend="noisy-density",
+                backend="statevector",
+                circuit_engine="density",
                 noise_channel="depolarizing",
                 noise_strength=0.01,
             ),

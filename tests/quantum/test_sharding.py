@@ -4,7 +4,7 @@ The load-bearing contract: a :class:`ShardedExecutor` is **bit-identical**
 to the unsharded :class:`EnsembleExecutor` for the same inputs and seed, on
 both the ensemble and the trajectory route, for every CPU shard backend and
 any shard count.  Everything else — plan shapes, moment merging, pool
-lifecycle, device gating — supports that contract.
+lifecycle — supports that contract.
 """
 
 import numpy as np
@@ -18,7 +18,6 @@ from repro.quantum.sharding import (
     SHARD_BACKENDS,
     ShardPlan,
     ShardedExecutor,
-    device_backend_available,
     get_shard_pool,
     merge_moments,
     moments_from_rows,
@@ -258,34 +257,23 @@ def test_trajectory_rejects_unknown_reduction_and_bad_weights():
 
 
 # ---------------------------------------------------------------------------
-# Construction, identity, device gating
+# Construction and identity
 # ---------------------------------------------------------------------------
 
 
 def test_sharded_executor_validates_construction():
     with pytest.raises(ValueError):
         ShardedExecutor(0)
-    with pytest.raises(ValueError):
-        ShardedExecutor(2, backend="mpi")
-    assert "device" in SHARD_BACKENDS
+    for backend in ("mpi", "device"):
+        with pytest.raises(ValueError):
+            ShardedExecutor(2, backend=backend)
+    assert SHARD_BACKENDS == CPU_BACKENDS
 
 
 def test_cpu_executor_identity_and_close():
     executor = ShardedExecutor(2, backend="serial")
-    assert executor.device_label == "cpu"
-    assert executor.devices is None
+    assert (executor.num_shards, executor.backend) == (2, "serial")
     executor.close()  # documented no-op; must not raise
-
-
-def test_device_backend_gates_on_availability():
-    available, reason = device_backend_available()
-    assert isinstance(reason, str) and reason
-    if available:  # pragma: no cover - requires CUDA hardware
-        executor = ShardedExecutor(2, backend="device", devices=(0,))
-        assert executor.device_label == "cuda:0"
-    else:
-        with pytest.raises(RuntimeError, match="device shard backend unavailable"):
-            ShardedExecutor(2, backend="device")
 
 
 def test_gate_plan_is_computed_once_by_the_coordinator():

@@ -1,4 +1,4 @@
-"""Self-tests for the ``xp`` array-module seam (DESIGN.md §11, §14).
+"""Self-tests for the ``xp`` array-module seam (DESIGN.md §11).
 
 The seam has three resolution layers — ``set_array_module`` override,
 ``REPRO_ARRAY_MODULE`` environment variable, autodetection — and a GPU path
@@ -16,7 +16,6 @@ from repro.quantum.engine import (
     set_array_module,
     to_host,
 )
-from repro.quantum.sharding import device_backend_available
 
 
 @pytest.fixture(autouse=True)
@@ -32,15 +31,6 @@ def _demo_circuit():
     circuit = QuantumCircuit(3)
     circuit.h(0).cnot(0, 1).h(2).cnot(1, 2)
     return circuit
-
-
-def _cupy_or_skip():
-    available, reason = device_backend_available()
-    if not available:
-        pytest.skip(f"cupy path not exercisable here: {reason}")
-    import cupy  # pragma: no cover - requires CUDA hardware
-
-    return cupy  # pragma: no cover - requires CUDA hardware
 
 
 # ---------------------------------------------------------------------------
@@ -73,14 +63,13 @@ def test_override_beats_env_var(monkeypatch):
 def test_env_var_cupy_is_a_hard_requirement(monkeypatch):
     """``REPRO_ARRAY_MODULE=cupy`` must never silently fall back to numpy."""
     monkeypatch.setenv("REPRO_ARRAY_MODULE", "cupy")
-    available, _ = device_backend_available()
-    if available:  # pragma: no cover - requires CUDA hardware
+    try:
         import cupy
-
-        assert array_module() is cupy
-    else:
+    except ImportError:
         with pytest.raises(ImportError):
             array_module()
+    else:  # pragma: no cover - requires cupy
+        assert array_module() is cupy
 
 
 # ---------------------------------------------------------------------------
@@ -113,14 +102,8 @@ def test_engine_run_under_explicit_numpy(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def test_device_backend_available_gives_a_clear_reason():
-    available, reason = device_backend_available()
-    assert isinstance(available, bool)
-    assert isinstance(reason, str) and reason  # never an empty excuse
-
-
 def test_cupy_engine_matches_numpy_engine():
-    cupy = _cupy_or_skip()
+    cupy = pytest.importorskip("cupy")
     circuit = _demo_circuit()  # pragma: no cover - requires CUDA hardware
     basis = list(range(8))
     via_numpy = EnsembleExecutor(fuse=True, xp=np).basis_ensemble_distribution(
@@ -133,7 +116,7 @@ def test_cupy_engine_matches_numpy_engine():
 
 
 def test_cupy_to_host_round_trip():
-    cupy = _cupy_or_skip()
+    cupy = pytest.importorskip("cupy")
     device_array = cupy.arange(6, dtype=float)  # pragma: no cover - requires CUDA hardware
     host = to_host(device_array)
     assert isinstance(host, np.ndarray)

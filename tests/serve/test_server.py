@@ -45,6 +45,13 @@ def estimate_request(**config_overrides):
     return EstimationRequest(simplices=TRIANGLE, k=1, config=config)
 
 
+def with_config(**fields):
+    """A schema-current estimate document whose config carries ``fields``."""
+    body = estimate_request().as_dict()
+    body["config"].update(fields)
+    return body
+
+
 @contextlib.contextmanager
 def serve(**config_kwargs):
     """A live server on an ephemeral port plus a connected client."""
@@ -168,15 +175,17 @@ class TestErrorEnvelopes:
         assert excinfo.value.reason == "missing_schema_version"
         assert excinfo.value.envelope["error"]["supported_versions"] == [SCHEMA_VERSION]
 
-    def test_unsupported_schema_version(self, shared):
+    @pytest.mark.parametrize("version", [4, SCHEMA_VERSION + 1], ids=["previous", "future"])
+    def test_unsupported_schema_version(self, shared, version):
         _server, client = shared
         body = estimate_request().as_dict()
-        body["schema_version"] = SCHEMA_VERSION + 1
+        body["schema_version"] = version
         with pytest.raises(ServiceError) as excinfo:
             client.estimate(body)
         assert excinfo.value.status == 400
         assert excinfo.value.reason == "unsupported_schema_version"
         assert excinfo.value.envelope["error"]["supported_versions"] == [SCHEMA_VERSION]
+        assert client.estimate(estimate_request())["payload"]["betti_rounded"] == 1
 
     def test_kind_route_mismatch(self, shared):
         _server, client = shared
@@ -191,14 +200,38 @@ class TestErrorEnvelopes:
         del body["kind"]  # the route is authoritative when the body omits it
         assert client.estimate(body)["payload"]["betti_rounded"] == 1
 
-    def test_invalid_request_document(self, shared):
+    @pytest.mark.parametrize(
+        "body,fragments",
+        [
+            ({"schema_version": SCHEMA_VERSION, "kind": "estimate", "k": 1}, ("exactly one",)),
+            # Surface removed in schema 5: each is refused by the existing
+            # validation, naming the field or listing what is available.
+            (with_config(backend="noisy-density"), ("noisy-density", "statevector")),
+            (with_config(use_purification=False), ("use_purification",)),
+            (with_config(fuse_purified=True), ("fuse_purified",)),
+            (with_config(devices=[0, 1]), ("devices",)),
+            (with_config(shard_backend="device"), ("shard_backend", "process")),
+        ],
+        ids=[
+            "no-geometry",
+            "noisy-density-backend",
+            "use-purification",
+            "fuse-purified",
+            "devices",
+            "device-shard-backend",
+        ],
+    )
+    def test_invalid_request_document(self, shared, body, fragments):
         _server, client = shared
-        body = {"schema_version": SCHEMA_VERSION, "kind": "estimate", "k": 1}
         with pytest.raises(ServiceError) as excinfo:
             client.estimate(body)
         assert excinfo.value.status == 400
         assert excinfo.value.reason == "invalid_request"
-        assert "exactly one" in excinfo.value.envelope["error"]["message"]
+        message = excinfo.value.envelope["error"]["message"]
+        for fragment in fragments:
+            assert fragment in message
+        # The refusal leaves the server serving.
+        assert client.estimate(estimate_request())["payload"]["betti_rounded"] == 1
 
     def test_execution_failure_is_500(self, shared):
         """A request that validates but fails during execution returns a
