@@ -161,6 +161,44 @@ def test_config_validates_circuit_engine():
     assert QTDAConfig.from_dict(config.as_dict()).circuit_engine == "ensemble"
 
 
+_ROUTE_NOISE = {
+    "ensemble": {},
+    "purified": {},
+    "density": {"noise_channel": "depolarizing", "noise_strength": 0.02},
+    "ptm": {"noise_channel": "depolarizing", "noise_strength": 0.02},
+    "trajectory": {
+        "noise_channel": "depolarizing",
+        "noise_strength": 0.02,
+        "n_trajectories": 2,
+        "seed": 7,
+    },
+}
+
+
+@pytest.mark.parametrize("engine", sorted(_ROUTE_NOISE))
+def test_every_route_builds_hamiltonian_and_circuit_once_per_run(monkeypatch, engine):
+    from repro.core.backends import statevector as sv_backend
+    from repro.core.backends.base import EstimationProblem
+
+    calls = {"hamiltonian": 0, "circuit": 0}
+    build_hamiltonian = EstimationProblem.dense_hamiltonian
+    build_circuit = sv_backend.qtda_circuit
+
+    def counting_hamiltonian(self, config):
+        calls["hamiltonian"] += 1
+        return build_hamiltonian(self, config)
+
+    def counting_circuit(*args, **kwargs):
+        calls["circuit"] += 1
+        return build_circuit(*args, **kwargs)
+
+    monkeypatch.setattr(EstimationProblem, "dense_hamiltonian", counting_hamiltonian)
+    monkeypatch.setattr(sv_backend, "qtda_circuit", counting_circuit)
+    estimate = _estimate("statevector", "appendix", engine, **_ROUTE_NOISE[engine])
+    assert estimate.engine_route == engine
+    assert calls == {"hamiltonian": 1, "circuit": 1}
+
+
 # ---------------------------------------------------------------------------
 # Trajectory route
 # ---------------------------------------------------------------------------

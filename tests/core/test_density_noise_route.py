@@ -56,6 +56,14 @@ def test_explicit_noise_model_takes_precedence(hollow_triangle):
     assert via_object.p_zero == pytest.approx(via_fields.p_zero, abs=1e-12)
 
 
+def test_zero_strength_channel_matches_noiseless_density_route(hollow_triangle):
+    clean = _estimate(hollow_triangle)
+    zero = _estimate(hollow_triangle, noise_channel="depolarizing", noise_strength=0.0)
+    assert zero.engine_route == clean.engine_route == "density"
+    assert zero.p_zero == pytest.approx(clean.p_zero, abs=1e-12)
+    assert zero.betti_estimate == pytest.approx(clean.betti_estimate, abs=1e-10)
+
+
 def test_noise_model_resolution():
     assert QTDAConfig().resolved_noise_model() is None
     built = QTDAConfig(noise_channel="amplitude-damping", noise_strength=0.1).resolved_noise_model()
