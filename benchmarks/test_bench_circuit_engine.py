@@ -55,7 +55,7 @@ def _route_seconds(problem: EstimationProblem, engine: str):
         circuit_engine=engine,
     )
     start = time.perf_counter()
-    result = circuit_backend_result(problem, config, "exact", None)
+    result = circuit_backend_result(problem, config, "exact")
     return time.perf_counter() - start, result
 
 

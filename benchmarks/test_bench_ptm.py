@@ -56,11 +56,8 @@ def _route_seconds(problem: EstimationProblem, engine: str):
         noise_gate_strengths=GATE_STRENGTHS,
         seed=SEED,
     )
-    noise_model = config.resolved_noise_model()
     start = time.perf_counter()
-    result = circuit_backend_result(
-        problem, config, "exact", noise_model, rng=as_rng(config.seed)
-    )
+    result = circuit_backend_result(problem, config, "exact", rng=as_rng(config.seed))
     return time.perf_counter() - start, result
 
 

@@ -60,7 +60,7 @@ def _route_seconds(problem: EstimationProblem, shards: int):
         shard_backend="process",
     )
     start = time.perf_counter()
-    result = circuit_backend_result(problem, config, "exact", None)
+    result = circuit_backend_result(problem, config, "exact")
     return time.perf_counter() - start, result
 
 

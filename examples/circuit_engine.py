@@ -52,7 +52,7 @@ def time_route(problem: EstimationProblem, route: str) -> tuple[float, np.ndarra
         precision_qubits=PRECISION, shots=None, backend="statevector", circuit_engine=route
     )
     start = time.perf_counter()
-    result = circuit_backend_result(problem, config, "exact", None)
+    result = circuit_backend_result(problem, config, "exact")
     return time.perf_counter() - start, result.distribution
 
 

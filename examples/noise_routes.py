@@ -63,11 +63,8 @@ def run_route(problem: EstimationProblem, route: str):
         n_trajectories=N_TRAJECTORIES,
         seed=11,
     )
-    noise_model = config.resolved_noise_model()
     start = time.perf_counter()
-    result = circuit_backend_result(
-        problem, config, "exact", noise_model, rng=as_rng(config.seed)
-    )
+    result = circuit_backend_result(problem, config, "exact", rng=as_rng(config.seed))
     return time.perf_counter() - start, result
 
 
@@ -95,6 +92,9 @@ def main() -> None:
         )
         cells = " | ".join(f"{seconds[route]:>10.3f}s" for route in ROUTES)
         print(f"{q:>3} {dim:>5} | {cells} | {ptm_diff:>9.1e} | {traj_diff:>9.1e}")
+        # The two exact routes must agree; this makes the script a smoke test.
+        if ptm_diff > 1e-8:
+            raise SystemExit(f"ptm deviates from density by {ptm_diff:.1e} at q={q}")
 
     # Estimates from the largest run: the exact routes agree to machine
     # precision; the trajectory mean carries its repetition spread.

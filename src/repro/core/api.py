@@ -154,9 +154,10 @@ def _freeze_matrix(matrix: Any, name: str) -> Tuple[Tuple[float, ...], ...]:
 def _request_hash(self) -> int:
     """Content hash shared by every request class (see :meth:`fingerprint`).
 
-    Requests whose config cannot serialise (an explicit ``noise_model``
-    object) fall back to a per-type constant: they all collide in one hash
-    bucket, but set/dict membership stays correct through ``__eq__``.
+    Requests that cannot serialise (a non-JSON ``ExperimentRequest`` param,
+    or a generator seed in a library-built config) fall back to a per-type
+    constant: they all collide in one hash bucket, but set/dict membership
+    stays correct through ``__eq__``.
     """
     try:
         return hash((type(self).__name__, self.fingerprint()))
@@ -713,8 +714,9 @@ def deterministic_request(request: Request) -> bool:
       the session's buffered samples — so they are never deterministic here.
     * Pipeline/sweep requests expose their own :attr:`~PipelineRequest.
       deterministic` (classical-only, or quantum with a fixed seed).
-    * Experiment driver seeds all default to fixed integers; only an
-      explicit ``None`` (or generator) seed makes a run non-reproducible.
+    * Experiment driver seeds all default to fixed integers; an explicit
+      seed that is not an integer (``None``, a generator) makes a run
+      non-reproducible.
     * Single estimations are deterministic exactly when seeded.
     """
     if isinstance(request, ObserveRequest):
@@ -722,7 +724,7 @@ def deterministic_request(request: Request) -> bool:
     if isinstance(request, (PipelineRequest, SweepRequest)):
         return request.deterministic
     if isinstance(request, ExperimentRequest):
-        return request.param_dict.get("seed", 0) is not None
+        return "seed" not in request.param_dict or request.seed is not None
     return request.seed is not None
 
 
@@ -1304,9 +1306,10 @@ class QTDAService:
         including every call from the :class:`~repro.core.pipeline.
         QTDAPipeline` shim, whose private service disables the result cache —
         skip it and carry an empty ``provenance.request_fingerprint``.
-        Requests whose config cannot serialise (an explicit ``noise_model``
-        object) execute fine; they are simply uncacheable and their envelope
-        cannot be emitted as JSON.
+        Requests that cannot serialise (a non-JSON ``ExperimentRequest``
+        param, or a generator seed in a library-built config) execute fine;
+        they are simply uncacheable and their envelope cannot be emitted as
+        JSON.
         """
         self._check_request(request)
         fingerprint = self._fingerprint_or_none(request) if self._cacheable(request) else None
@@ -1494,7 +1497,9 @@ class QTDAService:
 
     @staticmethod
     def _fingerprint_or_none(request: Request) -> Optional[str]:
-        """The request fingerprint, or ``None`` for unserialisable requests."""
+        """The request fingerprint, or ``None`` for unserialisable requests
+        (a non-JSON ``ExperimentRequest`` param, or a generator seed in a
+        library-built config)."""
         try:
             return request.fingerprint()
         except (TypeError, ValueError):
@@ -1631,9 +1636,9 @@ class QTDAService:
         try:
             key: Optional[str] = canonical_json(request.session_config())
         except (TypeError, ValueError):
-            # Unserialisable pipeline (explicit noise_model object): the
-            # session still works, but config matching degrades to trusting
-            # the caller (both sides carry a None key).
+            # Unserialisable pipeline (a generator seed in its estimator
+            # config): the session still works, but config matching degrades
+            # to trusting the caller (both sides carry a None key).
             key = None
         with self._sessions_lock:
             session = self._sessions.get(request.session)

@@ -222,7 +222,8 @@ def preferred_format(backend: "BettiBackend") -> str:
 
 
 def backend_supports_noise(backend: "BettiBackend") -> bool:
-    """Whether ``backend`` honours ``QTDAConfig.noise_channel``/``noise_model``."""
+    """Whether ``backend`` honours the config's noise fields (``noise_channel``
+    and friends, resolved through ``QTDAConfig.resolved_noise_spec``)."""
     return bool(getattr(backend, "supports_noise", False))
 
 

@@ -29,11 +29,13 @@ DESIGN.md §11):
   bit-identity-pinned).
 * ``density`` — density-matrix evolution of ``|0><0| ⊗ I/2^q`` on ``t + q``
   qubits, gate by gate (legacy route, bit-identity-pinned; the exact Kraus
-  contraction, and the only noise route for hand-built ``NoiseModel``
-  objects no :class:`~repro.quantum.channels.NoiseSpec` can express).
+  contraction).  Only an explicit ``circuit_engine="density"`` selects it:
+  it is the reference the ``ptm`` and ``trajectory`` routes are checked
+  against.
 
 NISQ runs are this backend with a noise configuration (``noise_channel`` and
-friends); ``circuit_engine="density"`` forces the exact Kraus contraction.
+friends, resolved to one :class:`~repro.quantum.channels.NoiseSpec` that
+every noisy route places the same way).
 This module also hosts the circuit-execution plumbing shared with the
 ``trotter`` backend, which differs only in how ``U`` is synthesised.
 """
@@ -49,7 +51,6 @@ from repro.core.qtda_circuit import QTDACircuitSpec, qtda_circuit
 from repro.quantum.channels import NoiseSpec, apply_readout_error
 from repro.quantum.density_matrix import DensityMatrix, DensityMatrixSimulator
 from repro.quantum.engine import EnsembleExecutor
-from repro.quantum.noise import NoiseModel
 from repro.quantum.ptm import PTMExecutor
 from repro.quantum.sharding import ShardedExecutor
 from repro.quantum.statevector import StatevectorSimulator
@@ -65,52 +66,32 @@ CIRCUIT_ROUTES = ("ensemble", "trajectory", "ptm", "purified", "density")
 PTM_AUTO_QUBIT_THRESHOLD = 12
 
 
-def resolve_circuit_route(
-    config, noise_model: Optional[NoiseModel], total_qubits: Optional[int] = None
-) -> str:
+def resolve_circuit_route(config, total_qubits: Optional[int] = None) -> str:
     """Resolve ``config.circuit_engine`` to a concrete route.
 
-    Gate noise excludes the pure-state routes (an *explicit* ``ensemble`` or
-    ``purified`` choice combined with noise raises instead of silently
-    dropping either).  ``"auto"`` resolves declarative noise (any model
-    expressible as a :class:`~repro.quantum.channels.NoiseSpec`) to the exact
-    ``ptm`` route while the register fits the Pauli-vector budget
-    (``total_qubits`` is the circuit's ``t + q``; ``None`` — callers that
-    cannot know the size — counts as fitting), and to the stochastic
-    ``trajectory`` route above :data:`PTM_AUTO_QUBIT_THRESHOLD`.
-    Hand-built Kraus lists and gate-filtered models fall back to the exact
-    ``density`` contraction (and reject an explicit ``trajectory`` or
-    ``ptm`` request — neither can place noise without a spec).
+    Gate noise (``config.resolved_noise_spec().has_gate_noise``) excludes the
+    pure-state routes (an *explicit* ``ensemble`` or ``purified`` choice
+    combined with noise raises instead of silently dropping either).
+    ``"auto"`` resolves gate noise to the exact ``ptm`` route while the
+    register fits the Pauli-vector budget (``total_qubits`` is the circuit's
+    ``t + q``; ``None`` — callers that cannot know the size — counts as
+    fitting), and to the stochastic ``trajectory`` route above
+    :data:`PTM_AUTO_QUBIT_THRESHOLD`; it never picks ``density``.
     Noise-free runs resolve ``"auto"`` to ``ensemble``; a zero-strength
     channel counts as noise-free.
     """
-    engine = getattr(config, "circuit_engine", "auto")
+    engine = config.circuit_engine
     if engine not in ("auto",) + CIRCUIT_ROUTES:
         raise ValueError(
             f"circuit_engine must be one of {('auto',) + CIRCUIT_ROUTES}, got {engine!r}"
         )
-    spec = noise_model.to_spec() if noise_model is not None else None
-    has_gate_noise = noise_model is not None and (spec is None or spec.has_gate_noise)
-    if has_gate_noise:
+    if config.resolved_noise_spec().has_gate_noise:
         if engine in ("ensemble", "purified"):
             raise ValueError(
                 f"circuit_engine={engine!r} cannot simulate noise channels; "
                 "use 'ptm', 'trajectory', 'density' (or 'auto')"
             )
-        if engine == "density":
-            return "density"
-        if spec is None:
-            # Hand-built Kraus operators / gate filters have no NoiseSpec
-            # form, so neither PTM lowering nor trajectory sampling can
-            # place them.
-            if engine in ("trajectory", "ptm"):
-                raise ValueError(
-                    f"circuit_engine={engine!r} requires declarative noise "
-                    "(noise_channel & friends); explicit NoiseModel objects "
-                    "run on the density route"
-                )
-            return "density"
-        if engine in ("trajectory", "ptm"):
+        if engine != "auto":
             return engine
         if total_qubits is not None and total_qubits > PTM_AUTO_QUBIT_THRESHOLD:
             return "trajectory"
@@ -220,18 +201,6 @@ def _ptm_route(circuit, circuit_spec: QTDACircuitSpec, spec: NoiseSpec):
     return distribution, {"fused_gates": program.num_superops}
 
 
-def _executed_noise_spec(config, noise_model: Optional[NoiseModel]) -> NoiseSpec:
-    """The :class:`NoiseSpec` a run executes under: the model's spec form (if
-    any) with the config's declarative ``readout_error`` folded in."""
-    spec = noise_model.to_spec() if noise_model is not None else None
-    readout = float(getattr(config, "readout_error", 0.0) or 0.0)
-    if spec is None:
-        return NoiseSpec(readout_error=readout)
-    if readout > spec.readout_error:
-        spec = NoiseSpec.from_dict({**spec.as_dict(), "readout_error": readout})
-    return spec
-
-
 #: Routes that run on the execution engines; the remaining two are the legacy
 #: single-simulator routes.
 _ENGINE_ROUTES = ("ensemble", "trajectory", "ptm")
@@ -241,7 +210,6 @@ def circuit_backend_result(
     problem: EstimationProblem,
     config,
     synthesis: str,
-    noise_model: Optional[NoiseModel],
     rng: Optional[np.random.Generator] = None,
 ) -> BackendResult:
     """Build and execute the Fig. 6 circuit, returning the readout distribution.
@@ -256,13 +224,15 @@ def circuit_backend_result(
     the trajectory route's branch sampling (falls back to a
     ``config.seed``-derived generator); a configured ``readout_error`` is
     applied to the final distribution on every route (exact per-bit
-    confusion contraction).
+    confusion contraction).  Every route runs under one
+    :class:`~repro.quantum.channels.NoiseSpec`,
+    ``config.resolved_noise_spec()``.
     """
     hamiltonian = problem.dense_hamiltonian(config)
     # The auto PTM-vs-trajectory threshold needs the register size.
     total_qubits = config.precision_qubits + hamiltonian.num_qubits
-    route = resolve_circuit_route(config, noise_model, total_qubits=total_qubits)
-    spec = _executed_noise_spec(config, noise_model)
+    route = resolve_circuit_route(config, total_qubits=total_qubits)
+    spec = config.resolved_noise_spec()
     circuit, circuit_spec = qtda_circuit(
         hamiltonian,
         precision_qubits=config.precision_qubits,
@@ -283,7 +253,7 @@ def circuit_backend_result(
     elif route == "ptm":
         distribution, fields = _ptm_route(circuit, circuit_spec, spec)
     elif route == "density":
-        final = DensityMatrixSimulator(noise_model=noise_model).run(
+        final = DensityMatrixSimulator(spec).run(
             circuit, initial_state=mixed_initial_state(circuit_spec)
         )
         distribution = final.marginal_probabilities(precision_register)
@@ -312,9 +282,7 @@ class StatevectorBackend:
     supports_noise = True
 
     def run(self, problem: EstimationProblem, config, rng: np.random.Generator) -> BackendResult:
-        return circuit_backend_result(
-            problem, config, "exact", config.resolved_noise_model(), rng=rng
-        )
+        return circuit_backend_result(problem, config, "exact", rng=rng)
 
 
 register_backend(StatevectorBackend.name, StatevectorBackend())

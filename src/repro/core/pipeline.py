@@ -83,9 +83,8 @@ class PipelineConfig:
         """Plain-dictionary view, round-trippable through :meth:`from_dict`.
 
         The nested estimator config serialises through
-        :meth:`repro.core.config.QTDAConfig.as_dict` (and therefore rejects
-        explicit ``noise_model`` objects — use the declarative
-        ``noise_channel``/``noise_strength`` fields).
+        :meth:`repro.core.config.QTDAConfig.as_dict`, whose fields (noise
+        included) are all plain data.
         """
         from dataclasses import fields as dc_fields
 

@@ -1,11 +1,12 @@
 """First-class quantum channels: the Kraus IR shared by every noise route.
 
-Historically noise lived entirely inside :class:`repro.quantum.noise.
-NoiseModel` as a density-tensor-only operation, which forced every noisy run
-onto the quadratic density-matrix route.  This module lifts the channel into
-a standalone IR consumed by *three* execution paths:
+This module holds the library's one noise description, a channel IR that
+every noisy execution path consumes:
 
-* the density-matrix simulator (exact Kraus contraction, legacy route);
+* the density-matrix simulator (exact Kraus contraction, the ``density``
+  route);
+* the Pauli-transfer-matrix route (channels lowered to PTMs and fused, see
+  :mod:`repro.quantum.ptm`);
 * the ensemble engine's **trajectory** route (stochastic Kraus-branch
   unravelling — sample one branch per ensemble member per gate, see
   :mod:`repro.quantum.engine`);
@@ -28,8 +29,8 @@ Two objects matter:
     correlated two-qubit channel injected after two-qubit gates (CNOT and
     friends), and readout error.  ``QTDAConfig`` carries its fields as plain
     data; :meth:`NoiseSpec.channels_for_gate` is the single source of noise
-    *placement* shared by the density and trajectory routes (which is what
-    makes the trajectory mean converge to the density result).
+    *placement* shared by the density, PTM and trajectory routes (which is
+    what makes the routes agree).
 """
 
 from __future__ import annotations
@@ -436,14 +437,3 @@ class NoiseSpec:
     def from_dict(cls, data: Mapping[str, object]) -> "NoiseSpec":
         """Inverse of :meth:`as_dict` (re-runs all validation)."""
         return cls(**dict(data))
-
-    @classmethod
-    def from_legacy(cls, channel: Optional[str], strength: float) -> "NoiseSpec":
-        """Lift the legacy ``(noise_channel, noise_strength)`` pair."""
-        return cls(channel=channel, strength=strength if channel is not None else 0.0)
-
-    def describe(self) -> Dict[str, object]:
-        """Summary dictionary (experiment reports, ``NoiseModel.describe``)."""
-        summary = self.as_dict()
-        summary["is_noiseless"] = self.is_noiseless
-        return summary

@@ -99,8 +99,9 @@ class RequestCoalescer:
         try:
             return request.fingerprint()
         except (TypeError, ValueError):
-            # Unserialisable config (explicit noise_model object): runs fine,
-            # just never coalesces.
+            # Unserialisable request (a non-JSON ExperimentRequest param, or
+            # a generator seed in a library-built config): runs fine, just
+            # never coalesces.
             return None
 
     # -- geometry grouping -----------------------------------------------------

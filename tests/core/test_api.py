@@ -607,48 +607,45 @@ class TestExperimentParamValidation:
         assert result.provenance.backend == "classical-exact"
 
 
-class TestUnserialisableConfigs:
-    def test_shim_works_with_explicit_noise_model(self, clouds):
-        """Legacy call sites with a noise_model object keep working (shim policy):
-        such requests execute fine, they are just uncacheable/unserialisable."""
-        from repro.quantum.noise import NoiseModel
-
-        config = PipelineConfig(
-            epsilon=0.8,
-            estimator=QTDAConfig(
-                precision_qubits=2,
-                shots=50,
-                backend="statevector",
-                circuit_engine="density",
-                noise_model=NoiseModel.from_channel("depolarizing", 0.01),
-                seed=1,
-            ),
-        )
-        legacy = BatchFeatureEngine(config).transform_point_clouds(clouds[:1])
-        shim = QTDAPipeline(config).transform_point_clouds(clouds[:1])
-        assert np.array_equal(shim, legacy)
-
-    def test_service_runs_unserialisable_request_uncached(self, clouds):
-        from repro.quantum.noise import NoiseModel
-
-        config = PipelineConfig(
-            epsilon=0.8,
-            estimator=QTDAConfig(
-                precision_qubits=2,
-                shots=50,
-                backend="statevector",
-                circuit_engine="density",
-                noise_model=NoiseModel.from_channel("depolarizing", 0.01),
-                seed=1,
-            ),
-        )
-        request = PipelineRequest(point_clouds=clouds[:1], pipeline=config)
+class TestUnserialisableRequests:
+    def test_service_runs_unserialisable_request_uncached(self):
+        """A non-JSON experiment param (here a generator seed) executes fine;
+        the request is just uncacheable and unfingerprinted."""
+        params = {"shots": 50, "backend": "exact", "seed": np.random.default_rng(0)}
+        request = ExperimentRequest(experiment="appendix", params=params)
         with QTDAService() as service:
             first = service.run(request)
             second = service.run(request)
         assert first.provenance.request_fingerprint == ""
+        assert first.provenance.seed is None
         assert not second.provenance.result_cache_hit
-        assert np.array_equal(first.payload["features"], second.payload["features"])
+        assert first.payload["estimate"]["betti_rounded"] == 1
+
+    def test_observe_session_with_generator_seed_still_streams(self):
+        """A generator seed leaves the session config unserialisable; the
+        session still works, matching configs by trusting the caller."""
+        pipeline = PipelineConfig(
+            use_quantum=False, estimator=QTDAConfig(seed=np.random.default_rng(0))
+        )
+
+        def observe(samples):
+            return ObserveRequest(
+                samples=samples,
+                session="generator-seeded",
+                window_length=16,
+                stride=4,
+                epsilons=(0.3, 0.6),
+                pipeline=pipeline,
+            )
+
+        signal = np.sin(np.linspace(0.0, 8.0, 48))
+        with QTDAService() as service:
+            first = service.run(observe(signal[:24]))
+            second = service.run(observe(signal[24:]))
+        assert first.provenance.request_fingerprint == ""
+        # The second call continued the first call's session.
+        assert second.payload["samples_seen"] == 48
+        assert second.payload["windows_emitted"] == 9
 
     def test_experiment_batch_none_uses_defaults(self):
         params = {
@@ -664,18 +661,13 @@ class TestUnserialisableConfigs:
 
 
 def test_unserialisable_request_is_still_hashable():
-    """hash() must not raise for noise_model-bearing requests (set/dict use)."""
-    from repro.quantum.noise import NoiseModel
-
-    config = QTDAConfig(
-        backend="statevector",
-        circuit_engine="density",
-        noise_model=NoiseModel.from_channel("depolarizing", 0.01),
+    """hash() must not raise for requests with a non-JSON param (set/dict use)."""
+    request = ExperimentRequest(
+        experiment="fig3", params={"seed": 1, "rng": np.random.default_rng(0)}
     )
-    request = EstimationRequest(simplices=TRIANGLE, config=config)
     assert isinstance(hash(request), int)
     assert request in {request}
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError, match="JSON"):
         request.fingerprint()
 
 
@@ -749,6 +741,21 @@ class TestDeterministicRequest:
         )
         assert deterministic_request(ExperimentRequest(experiment="fig3", params={}))
 
+    @pytest.mark.parametrize(
+        "seed", [np.random.default_rng(0), 1.0, "7"], ids=["generator", "float", "str"]
+    )
+    def test_experiment_with_non_integer_seed_is_not(self, seed):
+        """Only an integer seed reproduces a run; anything else does not."""
+        assert not deterministic_request(
+            ExperimentRequest(experiment="fig3", params={"seed": seed})
+        )
+
+    def test_experiment_with_integer_seed_is_deterministic(self):
+        for seed in (0, 5, np.int64(3)):
+            assert deterministic_request(
+                ExperimentRequest(experiment="fig3", params={"seed": seed})
+            )
+
     def test_matches_service_result_cache_behaviour(self):
         """The predicate and the result cache must never disagree."""
         seeded = EstimationRequest(simplices=TRIANGLE, k=1, config={"shots": 20, "seed": 9})
@@ -775,19 +782,6 @@ class TestGeometryFingerprint:
         b = EstimationRequest(simplices=APPENDIX_SIMPLICES)
         c = EstimationRequest(points=circle_cloud(8, seed=1), epsilon=0.9)
         assert len({a.geometry_fingerprint(), b.geometry_fingerprint(), c.geometry_fingerprint()}) == 3
-
-    def test_unserialisable_config_does_not_break_geometry_hash(self):
-        """The geometry fingerprint ignores the config, so requests whose
-        config cannot serialise still group by geometry."""
-        from repro.quantum.noise import NoiseModel
-
-        config = QTDAConfig(
-            backend="statevector",
-            circuit_engine="density",
-            noise_model=NoiseModel.from_channel("depolarizing", 0.01),
-        )
-        request = EstimationRequest(simplices=TRIANGLE, config=config)
-        assert request.geometry_fingerprint() == EstimationRequest(simplices=TRIANGLE).geometry_fingerprint()
 
     def test_memoised(self):
         request = EstimationRequest(simplices=TRIANGLE)

@@ -7,14 +7,13 @@ reference complexes, and the ``circuit_engine`` knob's resolution rules are
 locked down.
 """
 
-import numpy as np
 import pytest
 
 from repro.core.backends.statevector import resolve_circuit_route
 from repro.core.config import QTDAConfig
 from repro.core.estimator import QTDABettiEstimator
 from repro.experiments.worked_example import appendix_complex
-from repro.quantum.noise import NoiseModel
+from repro.quantum.channels import NOISE_CHANNELS
 from repro.tda.complexes import SimplicialComplex
 
 
@@ -97,61 +96,68 @@ def test_ensemble_shots_are_sampled_from_the_same_distribution():
 # ---------------------------------------------------------------------------
 
 
+def _noisy(engine="auto", **noise):
+    noise = noise or dict(noise_channel="depolarizing", noise_strength=0.01)
+    return QTDAConfig(backend="statevector", circuit_engine=engine, **noise)
+
+
 def test_resolve_circuit_route_table():
     from repro.core.backends.statevector import PTM_AUTO_QUBIT_THRESHOLD
 
     noiseless = QTDAConfig(backend="statevector")
-    assert resolve_circuit_route(noiseless, None) == "ensemble"
+    assert resolve_circuit_route(noiseless) == "ensemble"
     for engine in ("ensemble", "ptm", "trajectory", "purified", "density"):
         config = QTDAConfig(backend="statevector", circuit_engine=engine)
-        assert resolve_circuit_route(config, None) == engine
-    noise = NoiseModel.depolarizing(0.01)
-    # Declarative (spec-expressible) noise resolves auto to the exact PTM
-    # route while the register fits, trajectory above the threshold; explicit
-    # density/trajectory/ptm requests are honoured.
-    assert resolve_circuit_route(noiseless, noise) == "ptm"
+        assert resolve_circuit_route(config) == engine
+    # Gate noise resolves auto to the exact PTM route while the register
+    # fits, trajectory above the threshold; explicit density/trajectory/ptm
+    # requests are honoured.
+    assert resolve_circuit_route(_noisy()) == "ptm"
+    assert resolve_circuit_route(_noisy(), total_qubits=PTM_AUTO_QUBIT_THRESHOLD) == "ptm"
     assert (
-        resolve_circuit_route(noiseless, noise, total_qubits=PTM_AUTO_QUBIT_THRESHOLD)
-        == "ptm"
-    )
-    assert (
-        resolve_circuit_route(
-            noiseless, noise, total_qubits=PTM_AUTO_QUBIT_THRESHOLD + 1
-        )
+        resolve_circuit_route(_noisy(), total_qubits=PTM_AUTO_QUBIT_THRESHOLD + 1)
         == "trajectory"
     )
-    density = QTDAConfig(backend="statevector", circuit_engine="density")
-    assert resolve_circuit_route(density, noise) == "density"
-    trajectory = QTDAConfig(backend="statevector", circuit_engine="trajectory")
-    assert resolve_circuit_route(trajectory, noise) == "trajectory"
-    ptm = QTDAConfig(backend="statevector", circuit_engine="ptm")
-    assert resolve_circuit_route(ptm, noise) == "ptm"
-    # Zero-strength channels count as noise-free.
-    assert resolve_circuit_route(noiseless, NoiseModel.depolarizing(0.0)) == "ensemble"
-    # Hand-built Kraus lists have no NoiseSpec form: auto falls back to the
-    # exact density contraction, and explicit trajectory/ptm requests raise.
-    custom = NoiseModel(
-        [np.sqrt(0.99) * np.eye(2), np.sqrt(0.01) * np.array([[0, 1], [1, 0]])]
-    )
-    assert resolve_circuit_route(noiseless, custom) == "density"
-    with pytest.raises(ValueError, match="density route"):
-        resolve_circuit_route(trajectory, custom)
-    with pytest.raises(ValueError, match="density route"):
-        resolve_circuit_route(ptm, custom)
+    for engine in ("density", "trajectory", "ptm"):
+        assert resolve_circuit_route(_noisy(engine)) == engine
+    # Zero-strength channels count as noise-free; readout error alone is
+    # classical post-processing and keeps the pure-state route.
+    zero = _noisy(noise_channel="depolarizing", noise_strength=0.0)
+    assert resolve_circuit_route(zero) == "ensemble"
+    assert resolve_circuit_route(_noisy(readout_error=0.05)) == "ensemble"
+
+
+@pytest.mark.parametrize(
+    "noise",
+    [dict(noise_channel=c, noise_strength=0.02) for c in NOISE_CHANNELS]
+    + [
+        dict(noise_two_qubit_channel="correlated-zz", noise_two_qubit_strength=0.02),
+        dict(
+            noise_channel="bit-flip",
+            noise_strength=0.0,
+            noise_gate_strengths={"CNOT": 0.03},
+        ),
+    ],
+    ids=list(NOISE_CHANNELS) + ["correlated-zz", "gate-strengths"],
+)
+def test_auto_never_resolves_to_density(noise):
+    from repro.core.backends.statevector import PTM_AUTO_QUBIT_THRESHOLD
+
+    config = _noisy(**noise)
+    for total_qubits in (None, 4, PTM_AUTO_QUBIT_THRESHOLD + 1):
+        assert resolve_circuit_route(config, total_qubits=total_qubits) in ("ptm", "trajectory")
 
 
 def test_pure_state_engines_reject_noise():
     for engine in ("ensemble", "purified"):
-        config = QTDAConfig(backend="statevector", circuit_engine=engine)
+        # The config refuses the combination up front ...
         with pytest.raises(ValueError, match="noise"):
-            resolve_circuit_route(config, NoiseModel.depolarizing(0.01))
+            _noisy(engine)
+        # ... and the route resolver refuses it for a config mutated after.
+        config = _noisy()
+        config.circuit_engine = engine
         with pytest.raises(ValueError, match="noise"):
-            QTDAConfig(
-                backend="statevector",
-                circuit_engine=engine,
-                noise_channel="depolarizing",
-                noise_strength=0.01,
-            )
+            resolve_circuit_route(config)
 
 
 def test_config_validates_circuit_engine():

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core.config import QTDAConfig
-from repro.quantum.noise import NoiseModel
 
 
 def test_defaults_are_valid():
@@ -44,10 +43,13 @@ def test_trotter_parameters():
         QTDAConfig(trotter_steps=0)
 
 
-def test_noise_model_type_checked():
-    with pytest.raises(TypeError):
-        QTDAConfig(noise_model="noisy")
-    QTDAConfig(noise_model=NoiseModel.depolarizing(0.01))
+def test_noise_model_field_is_gone():
+    """Noise is described by the plain-data fields only (one NoiseSpec)."""
+    with pytest.raises(TypeError, match="noise_model"):
+        QTDAConfig(noise_model=None)
+    with pytest.raises(TypeError, match="noise_model"):
+        QTDAConfig.from_dict({**QTDAConfig().as_dict(), "noise_model": None})
+    assert len(QTDAConfig().as_dict()) == 20
 
 
 def test_replace_creates_modified_copy():
@@ -76,12 +78,11 @@ def test_noise_field_validation():
     assert config.noise_strength == 0.25
 
 
-def test_positive_noise_strength_requires_a_channel_or_model():
+def test_positive_noise_strength_requires_a_channel():
     """A strength with no channel would be silently ignored — reject it."""
     with pytest.raises(ValueError, match="noise_channel"):
         QTDAConfig(noise_strength=0.05)
     QTDAConfig(noise_strength=0.05, noise_channel="depolarizing")
-    QTDAConfig(noise_strength=0.05, noise_model=NoiseModel.depolarizing(0.05))
     QTDAConfig(noise_strength=0.0)  # noiseless stays valid without a channel
 
 
@@ -102,12 +103,6 @@ def test_round_trip_through_dict_covers_noise_fields():
     assert "noise_model" not in data
     restored = QTDAConfig.from_dict(data)
     assert restored == config
-
-
-def test_as_dict_rejects_explicit_noise_model_object():
-    config = QTDAConfig(noise_model=NoiseModel.depolarizing(0.01))
-    with pytest.raises(ValueError, match="noise_channel"):
-        config.as_dict()
 
 
 def test_extended_noise_field_validation():

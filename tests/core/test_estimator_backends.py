@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from repro.core.estimator import QTDABettiEstimator
-from repro.quantum.noise import NoiseModel
 from repro.tda.complexes import SimplicialComplex
 
 
@@ -69,7 +68,8 @@ def test_noise_degrades_estimate_smoothly(small_complex):
         precision_qubits=3,
         shots=None,
         backend="statevector",
-        noise_model=NoiseModel.depolarizing(0.02),
+        noise_channel="depolarizing",
+        noise_strength=0.02,
     ).estimate(small_complex, 1)
     # Noise perturbs but does not destroy the estimate at this strength.
     assert noisy.p_zero != pytest.approx(clean.p_zero, abs=1e-12)

@@ -1,12 +1,12 @@
-"""Tests for noise channels and the per-gate noise model."""
+"""Tests for the Kraus factories and noise placement on the density simulator."""
 
 import numpy as np
 import pytest
 
 from repro.quantum.circuit import QuantumCircuit
 from repro.quantum.density_matrix import DensityMatrixSimulator
-from repro.quantum.noise import (
-    NoiseModel,
+from repro.quantum.channels import (
+    NoiseSpec,
     amplitude_damping_kraus,
     bit_flip_kraus,
     depolarizing_kraus,
@@ -43,7 +43,7 @@ def test_zero_strength_channels_are_identity():
 
 
 def test_full_depolarizing_gives_maximally_mixed():
-    sim = DensityMatrixSimulator(noise_model=NoiseModel.depolarizing(1.0))
+    sim = DensityMatrixSimulator(NoiseSpec(channel="depolarizing", strength=1.0))
     rho = sim.run(QuantumCircuit(1).x(0))
     # p=1 depolarising twirl leaves (ρ + XρX + YρY + ZρZ)/3... not exactly I/2,
     # but for a basis state it is 2/3 mixed; just check purity dropped substantially.
@@ -51,56 +51,37 @@ def test_full_depolarizing_gives_maximally_mixed():
 
 
 def test_amplitude_damping_decays_excited_state():
-    sim = DensityMatrixSimulator(noise_model=NoiseModel.amplitude_damping(0.6))
+    sim = DensityMatrixSimulator(NoiseSpec(channel="amplitude-damping", strength=0.6))
     rho = sim.run(QuantumCircuit(1).x(0))
     assert rho.matrix[1, 1].real == pytest.approx(0.4, abs=1e-9)
 
 
-def test_gate_filter():
-    model = NoiseModel.depolarizing(0.5, gate_filter=["CNOT"])
-    sim = DensityMatrixSimulator(noise_model=model)
-    rho = sim.run(QuantumCircuit(1).x(0))  # X is not in the filter -> noiseless
+def test_gate_strength_override_silences_one_gate_class():
+    spec = NoiseSpec(channel="depolarizing", strength=0.5, gate_strengths={"X": 0.0})
+    rho = DensityMatrixSimulator(spec).run(QuantumCircuit(1).x(0))
     assert rho.purity() == pytest.approx(1.0)
+    noisy = DensityMatrixSimulator(spec).run(QuantumCircuit(1).h(0))
+    assert noisy.purity() < 1.0
 
 
-def test_noise_model_validation():
-    with pytest.raises(ValueError):
-        NoiseModel([np.eye(2) * 0.5])  # not trace preserving
-    with pytest.raises(ValueError):
-        NoiseModel([np.eye(4)])  # wrong dimension
+def test_correlated_channel_follows_two_qubit_gates_only():
+    spec = NoiseSpec(two_qubit_channel="correlated-zz", two_qubit_strength=0.2)
+    sim = DensityMatrixSimulator(spec)
+    assert sim.run(QuantumCircuit(2).h(0).h(1)).purity() == pytest.approx(1.0)
+    bell = sim.run(QuantumCircuit(2).h(0).cnot(0, 1))
+    assert bell.is_valid()
+    assert bell.purity() < 1.0
 
 
-def test_describe():
-    model = NoiseModel.bit_flip(0.1)
-    info = model.describe()
-    assert info["num_kraus"] == 2
-    assert info["gate_filter"] == "all"
-    # The named constructors record what the model *is*, not just its size.
-    assert info["channel"] == "bit-flip"
-    assert info["strength"] == 0.1
-    assert info["spec"]["channel"] == "bit-flip"
-    assert info["spec"]["is_noiseless"] is False
-
-
-def test_describe_hand_built_kraus_has_no_channel_name():
-    model = NoiseModel([np.sqrt(0.99) * np.eye(2), np.sqrt(0.01) * np.array([[0, 1], [1, 0]])])
-    info = model.describe()
-    assert info["channel"] is None
-    assert "spec" not in info
-
-
-def test_to_spec_round_trip_for_named_channels():
-    model = NoiseModel.depolarizing(0.05)
-    spec = model.to_spec()
-    assert spec is not None and spec.channel == "depolarizing" and spec.strength == 0.05
-    rebuilt = NoiseModel.from_spec(spec)
-    assert rebuilt.to_spec() == spec
-    # Gate-filtered models have no declarative form.
-    assert NoiseModel.depolarizing(0.05, gate_filter=["CNOT"]).to_spec() is None
+def test_noiseless_spec_matches_noise_free_simulator_exactly():
+    circ = QuantumCircuit(2).h(0).cnot(0, 1).x(1)
+    clean = DensityMatrixSimulator().run(circ).matrix
+    spec = NoiseSpec(channel="bit-flip", strength=0.0, readout_error=0.1)
+    assert np.array_equal(DensityMatrixSimulator(spec).run(circ).matrix, clean)
 
 
 def test_noisy_bell_state_stays_valid_density_matrix():
-    sim = DensityMatrixSimulator(noise_model=NoiseModel.depolarizing(0.05))
+    sim = DensityMatrixSimulator(NoiseSpec(channel="depolarizing", strength=0.05))
     rho = sim.run(QuantumCircuit(2).h(0).cnot(0, 1))
     assert rho.is_valid()
     assert rho.purity() < 1.0

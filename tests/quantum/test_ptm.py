@@ -31,7 +31,6 @@ from repro.quantum.fusion import (
     fuse_ptm_program,
     ptm_cache_info,
 )
-from repro.quantum.noise import NoiseModel
 from repro.quantum.ptm import (
     PTMExecutor,
     apply_ptm_to_ensemble,
@@ -265,8 +264,7 @@ def _assert_program_matches_density(circ, spec, max_fuse_qubits=3):
     program = fuse_ptm_program(circ, noise_spec=spec, max_fuse_qubits=max_fuse_qubits)
     executor = PTMExecutor(max_fuse_qubits=max_fuse_qubits)
     final = executor.run(program, _to_pauli_vector(rho, n))
-    noise_model = None if spec is None else NoiseModel.from_spec(spec)
-    reference = DensityMatrixSimulator(noise_model).run(circ, initial_state=rho)
+    reference = DensityMatrixSimulator(spec).run(circ, initial_state=rho)
     assert np.allclose(
         _from_pauli_vector(final, n), reference.matrix, atol=1e-10
     )

@@ -11,9 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.core.api import EstimationRequest, PipelineRequest, QTDAService
-from repro.core.config import QTDAConfig
-from repro.core.pipeline import PipelineConfig
+from repro.core.api import EstimationRequest, ExperimentRequest, QTDAService
 from repro.serve.coalescer import RequestCoalescer
 
 TRIANGLE = ((0,), (1,), (2,), (0, 1), (0, 2), (1, 2))
@@ -208,23 +206,12 @@ class TestCoalescingEligibility:
         assert coalescer.stats()["uncoalescable"] == 1
         assert coalescer.stats()["leaders"] == 0
 
-    def test_unserialisable_config_never_coalesces(self, service):
-        from repro.quantum.noise import NoiseModel
-
+    def test_generator_seeded_experiment_never_coalesces(self, service):
+        """A non-integer seed makes a run non-reproducible: it must not merge."""
         coalescer = RequestCoalescer()
-        pipeline = PipelineConfig(
-            epsilon=0.8,
-            estimator=QTDAConfig(
-                precision_qubits=2,
-                shots=20,
-                backend="statevector",
-                circuit_engine="density",
-                noise_model=NoiseModel.from_channel("depolarizing", 0.01),
-                seed=1,
-            ),
-        )
-        request = PipelineRequest(
-            point_clouds=[np.random.default_rng(0).normal(size=(6, 2))], pipeline=pipeline
+        request = ExperimentRequest(
+            experiment="appendix",
+            params={"shots": 20, "backend": "exact", "seed": np.random.default_rng(0)},
         )
         _result, coalesced = coalescer.execute(request, service.run)
         assert not coalesced

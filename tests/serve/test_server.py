@@ -211,6 +211,8 @@ class TestErrorEnvelopes:
             (with_config(fuse_purified=True), ("fuse_purified",)),
             (with_config(devices=[0, 1]), ("devices",)),
             (with_config(shard_backend="device"), ("shard_backend", "process")),
+            # Gone without a schema bump: as_dict never emitted the key.
+            (with_config(noise_model=None), ("noise_model",)),
         ],
         ids=[
             "no-geometry",
@@ -219,6 +221,7 @@ class TestErrorEnvelopes:
             "fuse-purified",
             "devices",
             "device-shard-backend",
+            "noise-model",
         ],
     )
     def test_invalid_request_document(self, shared, body, fragments):
